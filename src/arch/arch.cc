@@ -62,6 +62,7 @@ BoundArch::BoundArch(
                                  : Residency::InputBoundary);
     assignPartitions(tensor_to_partition);
     computeStores();
+    resolvePartitionIds();
     computeEnergies();
 }
 
@@ -199,6 +200,28 @@ BoundArch::computeStores()
     for (TensorId t = 0; t < nt; ++t)
         SUNSTONE_ASSERT(stores_[nl - 1][t],
                         "DRAM cannot bypass tensor ", wl_.tensor(t).name);
+}
+
+void
+BoundArch::resolvePartitionIds()
+{
+    std::vector<std::string> names;
+    auto idOf = [&](const std::string &name) {
+        auto it = std::find(names.begin(), names.end(), name);
+        if (it != names.end())
+            return static_cast<int>(it - names.begin());
+        names.push_back(name);
+        return static_cast<int>(names.size()) - 1;
+    };
+    levelPartitionIds_.assign(numLevels(), {});
+    for (int l = 0; l < numLevels(); ++l)
+        for (const auto &p : arch_.levels[l].partitions)
+            levelPartitionIds_[l].push_back(idOf(p.name));
+    // A tensor whose partition no level declares gets an id of its own,
+    // which no level's partition matches.
+    tensorPartitionId_.clear();
+    for (TensorId t = 0; t < numTensors(); ++t)
+        tensorPartitionId_.push_back(idOf(tensorPartition[t]));
 }
 
 void

@@ -194,10 +194,19 @@ class BoundArch
     bool
     fits(int level, const std::vector<std::int64_t> &footprint_words) const
     {
+        return fits(level, footprint_words.data(), footprint_words.size());
+    }
+
+    /** fits() over `n` footprints at `footprint_words`, for callers
+     *  that keep footprints in their own scratch. */
+    bool
+    fits(int level, const std::int64_t *footprint_words,
+         std::size_t n) const
+    {
         const auto &lv = arch_.levels[level];
         if (lv.isDram)
             return true;
-        SUNSTONE_ASSERT((int)footprint_words.size() == numTensors(),
+        SUNSTONE_ASSERT(n == static_cast<std::size_t>(numTensors()),
                         "footprint vector size mismatch");
         const std::int64_t shrink = lv.doubleBuffered ? 2 : 1;
         if (lv.partitions.empty()) {
@@ -207,12 +216,13 @@ class BoundArch
                     bits += footprint_words[t] * wl_.tensor(t).wordBits;
             return bits <= lv.capacityBits / shrink;
         }
-        for (const auto &p : lv.partitions) {
+        const auto &ids = levelPartitionIds_[level];
+        for (std::size_t i = 0; i < ids.size(); ++i) {
             std::int64_t bits = 0;
             for (TensorId t = 0; t < numTensors(); ++t)
-                if (stores_[level][t] && tensorPartition[t] == p.name)
+                if (stores_[level][t] && tensorPartitionId_[t] == ids[i])
                     bits += footprint_words[t] * wl_.tensor(t).wordBits;
-            if (bits > p.capacityBits / shrink)
+            if (bits > lv.partitions[i].capacityBits / shrink)
                 return false;
         }
         return true;
@@ -257,6 +267,7 @@ class BoundArch
     void assignPartitions(
         const std::map<std::string, std::string> &explicit_map);
     void computeStores();
+    void resolvePartitionIds();
     void computeEnergies();
 
     ArchSpec arch_;
@@ -265,6 +276,11 @@ class BoundArch
     std::vector<Residency> residency_;
     bool anyEphemeral_ = false;
     std::vector<std::string> tensorPartition;
+    /** Partition names resolved to indices into one name table, so the
+     *  capacity check compares integers: [tensor], and [level][i] for
+     *  levels[l].partitions[i]. */
+    std::vector<int> tensorPartitionId_;
+    std::vector<std::vector<int>> levelPartitionIds_;
     std::vector<std::vector<bool>> stores_;      // [level][tensor]
     std::vector<std::vector<double>> readPj;     // [level][tensor]
     std::vector<std::vector<double>> writePj;    // [level][tensor]

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <limits>
-#include <map>
 #include <mutex>
-#include <unordered_set>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -28,6 +25,9 @@ namespace sunstone {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** Visits after which a top-down tiling frontier stops (with a warning). */
+constexpr std::int64_t kTopDownNodeCap = 2'000'000;
 
 /** A partially decided mapping plus its search bookkeeping. */
 struct Partial
@@ -114,11 +114,43 @@ shapeFits(const BoundArch &ba, int level,
     if (ba.arch().levels[level].isDram)
         return true;
     const Workload &wl = ba.workload();
-    std::vector<std::int64_t> fp(wl.numTensors(), 0);
+    thread_local std::vector<std::int64_t> fp;
+    fp.assign(wl.numTensors(), 0);
     for (TensorId t = 0; t < wl.numTensors(); ++t)
         if (ba.stores(level, t))
             fp[t] = wl.tensor(t).footprint(shape);
-    return ba.fits(level, fp);
+    return ba.fits(level, fp.data(), fp.size());
+}
+
+/**
+ * Per-thread buffers of one beam entry's expansion. An expansion never
+ * joins the pool, so no other expansion runs on its thread before it
+ * returns, and every buffer only grows to the largest size seen.
+ */
+struct ExpandScratch
+{
+    /** Flat tiles of the current tiling walk. */
+    std::vector<std::int64_t> tiles;
+    /** Quotients left after an unrolling, before the tile. */
+    std::vector<std::int64_t> unrollRem;
+    /** Quotients left by the candidate being emitted. */
+    std::vector<std::int64_t> rem;
+    /** Tile shape under a capacity check. */
+    std::vector<std::int64_t> shape;
+    /** Level k's tile shape of the entry being expanded. */
+    std::vector<std::int64_t> baseShape;
+    /** Decisions a candidate overwrites in place, for the restore. */
+    std::vector<std::int64_t> savedTemporal, savedSpatial;
+    std::vector<DimId> savedOrder;
+    /** Top-down: the entry's mapping, overwritten per candidate. */
+    Mapping work;
+};
+
+ExpandScratch &
+expandScratch()
+{
+    thread_local ExpandScratch s;
+    return s;
 }
 
 class Driver
@@ -132,7 +164,7 @@ class Driver
                      ? *sc.engine()
                      : (opts.engine ? *opts.engine
                                     : sc.engineOrPrivate(opts.threads))),
-          ctx(engine.context(ba))
+          ctx(engine.context(ba)), ones(nDims, 1)
     {
     }
 
@@ -391,13 +423,14 @@ class Driver
     absorb(Partial &p, int k) const
     {
         auto &lm = p.m.level(k);
+        std::vector<std::int64_t> &shape = expandScratch().shape;
         for (DimId d : p.pendingSuffix) {
-            auto shape = p.m.tileShape(k);
+            p.m.tileShape(k, shape);
+            const std::int64_t base = shape[d];
             const auto &divs = cachedDivisors(p.remaining[d]);
             for (auto it = divs.rbegin(); it != divs.rend(); ++it) {
-                auto candidate = shape;
-                candidate[d] = satMul(candidate[d], *it);
-                if (shapeFits(ba, k, candidate)) {
+                shape[d] = satMul(base, *it);
+                if (shapeFits(ba, k, shape)) {
                     lm.temporal[d] = satMul(lm.temporal[d], *it);
                     p.remaining[d] /= *it;
                     break;
@@ -411,17 +444,20 @@ class Driver
     }
 
     /**
-     * Scores a partial by completing it (all residual loops to the DRAM
-     * level for bottom-up, to level 0 for top-down) and evaluating its
-     * energy — the paper's approximated-energy alpha-beta surrogate.
+     * Scores a candidate by completing it (all residual loops to the
+     * DRAM level for bottom-up, to level 0 for top-down) and evaluating
+     * its energy — the paper's approximated-energy alpha-beta surrogate.
+     *
+     * @param fill_order bottom-up only: the completed DRAM level's loop
+     *        order (the full order of the candidate's reuse suffix)
      */
     double
-    scoreCompletion(Partial &p, const std::vector<DimId> &suffix,
-                    bool bottom_up,
+    scoreCompletion(Mapping &m, const std::vector<std::int64_t> &remaining,
+                    const std::vector<DimId> &fill_order, bool bottom_up,
                     const EvalEngine::PrefixHandle &ph) const
     {
         const int fill = bottom_up ? nLevels - 1 : 0;
-        auto &lm = p.m.level(fill);
+        auto &lm = m.level(fill);
         // Complete in place and restore afterwards: the fill level's
         // factors (and order, for bottom-up) are stashed in per-thread
         // buffers so scoring performs no Mapping copy.
@@ -429,12 +465,10 @@ class Driver
         thread_local std::vector<DimId> saved_order;
         saved_temporal.assign(lm.temporal.begin(), lm.temporal.end());
         for (DimId d = 0; d < nDims; ++d)
-            lm.temporal[d] = satMul(lm.temporal[d], p.remaining[d]);
+            lm.temporal[d] = satMul(lm.temporal[d], remaining[d]);
         if (bottom_up) {
             saved_order.assign(lm.order.begin(), lm.order.end());
-            OrderingCandidate oc;
-            oc.suffix = suffix;
-            lm.order = oc.fullOrder(nDims);
+            lm.order.assign(fill_order.begin(), fill_order.end());
         }
         CostModelOptions cmo;
         cmo.assumeValid = true;
@@ -447,33 +481,46 @@ class Driver
         // are nearly all distinct, so scoring goes through the
         // allocation-free fast path (never cached); the decided-level
         // prefix terms come from the step's shared handle.
-        const double e = engine.scoreEnergy(ctx, ph, p.m, cmo);
+        const double e = engine.scoreEnergy(ctx, ph, m, cmo);
         lm.temporal.assign(saved_temporal.begin(), saved_temporal.end());
         if (bottom_up)
             lm.order.assign(saved_order.begin(), saved_order.end());
         return e;
     }
 
-    /** Scores a finished step candidate into its entry's collector. */
+    /**
+     * Scores a finished step candidate, held in place in `m` and
+     * `remaining`, into its entry's collector. The owned Partial is
+     * built only when the candidate survives the alpha-beta check.
+     *
+     * @param order the full loop order of the candidate's ordering
+     */
     void
-    emit(Collector &col, Partial &&cand, bool bottom_up,
-         const EvalEngine::PrefixHandle &ph)
+    emit(Collector &col, Mapping &m,
+         const std::vector<std::int64_t> &remaining,
+         const OrderingCandidate &ord, const std::vector<DimId> &order,
+         bool bottom_up, const EvalEngine::PrefixHandle &ph)
     {
         if (drv_->shouldStop())
             return;
-        cand.score =
-            scoreCompletion(cand, cand.pendingSuffix, bottom_up, ph);
+        const double score =
+            scoreCompletion(m, remaining, order, bottom_up, ph);
         examined.fetch_add(1, std::memory_order_relaxed);
         drv_->noteEvaluated(1);
         if (opts.alphaBeta) {
-            if (cand.score < col.inc)
-                col.inc = cand.score;
-            if (cand.score > col.inc * opts.alphaSlack) {
+            if (score < col.inc)
+                col.inc = score;
+            if (score > col.inc * opts.alphaSlack) {
                 engine.notePrune();
                 return;
             }
         }
-        col.out.push_back(std::move(cand));
+        Partial p;
+        p.m = m;
+        p.remaining = remaining;
+        p.pendingSuffix = ord.suffix;
+        p.score = score;
+        col.out.push_back(std::move(p));
     }
 
     /** Expands every beam entry at step k, then trims to the beam. */
@@ -520,10 +567,18 @@ class Driver
         // best first. An energy-only score would otherwise evict every
         // high-utilization candidate before its latency advantage
         // becomes visible, and would collapse the ordering diversity the
-        // next level's decisions depend on.
-        std::map<std::pair<std::uint64_t, int>, std::deque<Partial>>
-            buckets;
-        for (auto &p : out) {
+        // next level's decisions depend on. Each survivor's bucket key
+        // is computed once; a stable sort by key lays every bucket out
+        // contiguously, still best first.
+        struct Slot
+        {
+            std::pair<std::uint64_t, int> bucket;
+            std::size_t index;
+        };
+        std::vector<Slot> slots;
+        slots.reserve(out.size());
+        for (std::size_t i = 0; i < out.size(); ++i) {
+            const Partial &p = out[i];
             const std::int64_t sp =
                 std::max<std::int64_t>(1, p.m.totalSpatial());
             int log_sp = 0;
@@ -532,17 +587,28 @@ class Driver
             std::uint64_t suffix_key = 1;
             for (DimId d : p.pendingSuffix)
                 suffix_key = suffix_key * 131 + std::uint64_t(d + 1);
-            buckets[{suffix_key, log_sp}].push_back(std::move(p));
+            slots.push_back({{suffix_key, log_sp}, i});
         }
+        std::stable_sort(slots.begin(), slots.end(),
+                         [](const Slot &a, const Slot &b) {
+                             return a.bucket < b.bucket;
+                         });
+        // Bucket b spans slots[starts[b], starts[b + 1]).
+        std::vector<std::size_t> starts;
+        for (std::size_t i = 0; i < slots.size(); ++i)
+            if (i == 0 || slots[i].bucket != slots[i - 1].bucket)
+                starts.push_back(i);
+        starts.push_back(slots.size());
         std::vector<Partial> kept;
         kept.reserve(opts.beamWidth);
-        while ((int)kept.size() < opts.beamWidth) {
+        for (std::size_t round = 0; (int)kept.size() < opts.beamWidth;
+             ++round) {
             bool any = false;
-            for (auto &[key, q] : buckets) {
-                if (q.empty())
+            for (std::size_t b = 0; b + 1 < starts.size(); ++b) {
+                if (starts[b] + round >= starts[b + 1])
                     continue;
-                kept.push_back(std::move(q.front()));
-                q.pop_front();
+                kept.push_back(
+                    std::move(out[slots[starts[b] + round].index]));
                 any = true;
                 if ((int)kept.size() >= opts.beamWidth)
                     break;
@@ -574,7 +640,9 @@ class Driver
                     v.m.level(0).spatial[d] = u[d];
                     v.remaining[d] /= u[d];
                 }
-                if (!shapeFits(ba, 0, v.m.tileShape(0)))
+                std::vector<std::int64_t> &shape = expandScratch().shape;
+                v.m.tileShape(0, shape);
+                if (!shapeFits(ba, 0, shape))
                     continue;
                 expandBottomUpInner(std::move(v), k, col);
             }
@@ -630,12 +698,22 @@ class Driver
                        : opts.utilizationThreshold;
         };
 
+        // Each ordering's full loop order, built once and shared by all
+        // of its (tile, unroll) candidates.
+        std::vector<std::vector<DimId>> orders;
+        orders.reserve(orderings.size());
+        for (const auto &ord : orderings)
+            orders.push_back(ord.fullOrder(nDims));
+        ExpandScratch &s = expandScratch();
+        base.m.tileShape(k, s.baseShape);
+
         using IO = SunstoneOptions::IntraOrder;
         if (opts.intraOrder == IO::UnrollTileOrder) {
             // The paper's default: per ordering, spatial unrolling first
             // (from the full quotient), then the temporal tile from what
             // remains. This keeps tiling from starving parallelism.
-            for (const auto &ord : orderings) {
+            for (std::size_t o = 0; o < orderings.size(); ++o) {
+                const OrderingCandidate &ord = orderings[o];
                 std::vector<std::vector<std::int64_t>> unrolls;
                 if (fanout_above > 1) {
                     UnrollResult ur = tracedUnrolls(
@@ -658,19 +736,23 @@ class Driver
                         unrolls.resize(24);
                     }
                 } else {
-                    unrolls.emplace_back(nDims, 1);
+                    unrolls.push_back(ones);
                 }
+                const DimSet grow = growFor(ord);
                 for (const auto &u : unrolls) {
-                    std::vector<std::int64_t> rem = base.remaining;
+                    s.unrollRem.assign(base.remaining.begin(),
+                                       base.remaining.end());
                     for (DimId d = 0; d < nDims; ++d)
-                        rem[d] /= u[d];
-                    const auto tiles =
-                        tracedTiles(k, baseShapeFor(base, k), rem,
-                                    growFor(ord));
-                    examined.fetch_add(tiles.nodesVisited,
+                        s.unrollRem[d] /= u[d];
+                    const TilingWalkStats tw =
+                        tracedTiles(k, s.baseShape, s.unrollRem, grow);
+                    examined.fetch_add(tw.nodesVisited,
                                        std::memory_order_relaxed);
-                    for (const auto &tile : tiles.maximal)
-                        emitCandidate(base, k, ord, tile, u, ph, col);
+                    for (std::size_t at = 0; at < s.tiles.size();
+                         at += nDims)
+                        emitCandidate(base, k, ord, orders[o],
+                                      s.tiles.data() + at, u.data(), ph,
+                                      col);
                 }
             }
             return;
@@ -679,14 +761,15 @@ class Driver
         if (opts.intraOrder == IO::TileUnrollOrder) {
             // Per ordering, temporal tile first, then unrolling from the
             // leftover quotient.
-            for (const auto &ord : orderings) {
-                const auto tiles =
-                    tracedTiles(k, baseShapeFor(base, k), base.remaining,
-                                growFor(ord));
-                examined.fetch_add(tiles.nodesVisited,
+            for (std::size_t o = 0; o < orderings.size(); ++o) {
+                const OrderingCandidate &ord = orderings[o];
+                const TilingWalkStats tw = tracedTiles(
+                    k, s.baseShape, base.remaining, growFor(ord));
+                examined.fetch_add(tw.nodesVisited,
                                    std::memory_order_relaxed);
-                for (const auto &tile : tiles.maximal)
-                    emitTileUnrolls(base, k, ord, tile, fanout_above,
+                for (std::size_t at = 0; at < s.tiles.size(); at += nDims)
+                    emitTileUnrolls(base, k, ord, orders[o],
+                                    s.tiles.data() + at, fanout_above,
                                     allowedUnrollDimsFor(ord), ph, col);
             }
             return;
@@ -701,12 +784,13 @@ class Driver
             allow_union =
                 allow_union.unionWith(allowedUnrollDimsFor(ord));
         }
-        const auto tiles = tracedTiles(k, baseShapeFor(base, k),
-                                       base.remaining, grow_union);
-        examined.fetch_add(tiles.nodesVisited, std::memory_order_relaxed);
-        for (const auto &tile : tiles.maximal)
-            for (const auto &ord : orderings)
-                emitTileUnrolls(base, k, ord, tile, fanout_above,
+        const TilingWalkStats tw =
+            tracedTiles(k, s.baseShape, base.remaining, grow_union);
+        examined.fetch_add(tw.nodesVisited, std::memory_order_relaxed);
+        for (std::size_t at = 0; at < s.tiles.size(); at += nDims)
+            for (std::size_t o = 0; o < orderings.size(); ++o)
+                emitTileUnrolls(base, k, orderings[o], orders[o],
+                                s.tiles.data() + at, fanout_above,
                                 allow_union, ph, col);
     }
 
@@ -729,28 +813,25 @@ class Driver
         return unrollCandidates(wl, allowed, rem, fanout, util);
     }
 
-    TilingTreeResult
+    /** Walks the tiling tree into the thread's scratch tiles. */
+    TilingWalkStats
     tracedTiles(int k, const std::vector<std::int64_t> &shape,
                 const std::vector<std::int64_t> &rem, DimSet grow) const
     {
         SUNSTONE_TRACE_SPAN("sunstone.tiling");
-        return growTiles(ba, k, shape, rem, grow);
-    }
-
-    std::vector<std::int64_t>
-    baseShapeFor(const Partial &p, int k) const
-    {
-        return p.m.tileShape(k);
+        return growTilesInto(ba, k, shape, rem, grow,
+                             expandScratch().tiles);
     }
 
     void
-    emitTileUnrolls(const Partial &base, int k,
-                    const OrderingCandidate &ord,
-                    const std::vector<std::int64_t> &tile,
-                    std::int64_t fanout_above, DimSet allowed,
-                    const EvalEngine::PrefixHandle &ph, Collector &col)
+    emitTileUnrolls(Partial &base, int k, const OrderingCandidate &ord,
+                    const std::vector<DimId> &order,
+                    const std::int64_t *tile, std::int64_t fanout_above,
+                    DimSet allowed, const EvalEngine::PrefixHandle &ph,
+                    Collector &col)
     {
-        std::vector<std::int64_t> rem = base.remaining;
+        std::vector<std::int64_t> &rem = expandScratch().unrollRem;
+        rem.assign(base.remaining.begin(), base.remaining.end());
         for (DimId d = 0; d < nDims; ++d)
             rem[d] /= tile[d];
         if (fanout_above > 1) {
@@ -759,63 +840,91 @@ class Driver
             examined.fetch_add(ur.combosVisited,
                                std::memory_order_relaxed);
             for (const auto &u : ur.candidates)
-                emitCandidate(base, k, ord, tile, u, ph, col);
+                emitCandidate(base, k, ord, order, tile, u.data(), ph,
+                              col);
         } else {
-            emitCandidate(base, k, ord, tile,
-                          std::vector<std::int64_t>(nDims, 1), ph, col);
+            emitCandidate(base, k, ord, order, tile, ones.data(), ph, col);
         }
     }
 
-    /** Builds the new partial for a (order, tile, unroll) triple. */
+    /**
+     * Emits the (order, tile, unroll) candidate built in place on
+     * `base`: level k's temporal factors and level k+1's unrolling and
+     * order are overwritten for the scoring and restored afterwards.
+     */
     void
-    emitCandidate(const Partial &base, int k, const OrderingCandidate &ord,
-                  const std::vector<std::int64_t> &tile,
-                  const std::vector<std::int64_t> &unroll,
+    emitCandidate(Partial &base, int k, const OrderingCandidate &ord,
+                  const std::vector<DimId> &order, const std::int64_t *tile,
+                  const std::int64_t *unroll,
                   const EvalEngine::PrefixHandle &ph, Collector &col)
     {
-        Partial cand = base;
-        auto &lm = cand.m.level(k);
+        ExpandScratch &s = expandScratch();
+        auto &lm = base.m.level(k);
+        s.savedTemporal.assign(lm.temporal.begin(), lm.temporal.end());
+        s.rem.assign(base.remaining.begin(), base.remaining.end());
         for (DimId d = 0; d < nDims; ++d) {
             lm.temporal[d] = satMul(lm.temporal[d], tile[d]);
-            cand.remaining[d] /= tile[d];
+            s.rem[d] /= tile[d];
         }
+        bool fits = true;
         if (k + 1 < nLevels) {
-            auto &up = cand.m.level(k + 1);
+            auto &up = base.m.level(k + 1);
+            s.savedSpatial.assign(up.spatial.begin(), up.spatial.end());
+            s.savedOrder.assign(up.order.begin(), up.order.end());
             for (DimId d = 0; d < nDims; ++d) {
                 up.spatial[d] = unroll[d];
-                cand.remaining[d] /= unroll[d];
+                s.rem[d] /= unroll[d];
             }
-            up.order = ord.fullOrder(nDims);
+            up.order.assign(order.begin(), order.end());
             // The spatially enlarged tile must fit the level above even
             // before its own temporal loops are chosen.
-            if (!ba.arch().levels[k + 1].isDram &&
-                !shapeFits(ba, k + 1, cand.m.tileShape(k + 1)))
-                return;
+            if (!ba.arch().levels[k + 1].isDram) {
+                base.m.tileShape(k + 1, s.shape);
+                fits = shapeFits(ba, k + 1, s.shape);
+            }
         }
-        cand.pendingSuffix = ord.suffix;
-        emit(col, std::move(cand), /*bottom_up=*/true, ph);
+        if (fits)
+            emit(col, base.m, s.rem, ord, order, /*bottom_up=*/true, ph);
+        lm.temporal.assign(s.savedTemporal.begin(), s.savedTemporal.end());
+        if (k + 1 < nLevels) {
+            auto &up = base.m.level(k + 1);
+            up.spatial.assign(s.savedSpatial.begin(), s.savedSpatial.end());
+            up.order.assign(s.savedOrder.begin(), s.savedOrder.end());
+        }
     }
 
     /**
      * Top-down step k: choose t[k] via the first-fit frontier (minimal
      * factor vectors whose residual fits the level below), then the
-     * ordering of level k's loops, then s[k].
+     * ordering of level k's loops, then s[k]. Candidates are built in
+     * place on one scratch copy of the entry's mapping.
      */
     void
     expandTopDown(const Partial &base, int k, Collector &col)
     {
-        const auto tiles = firstFitTiles(base.remaining, k);
-        for (const auto &tile : tiles) {
-            std::vector<std::int64_t> rem = base.remaining;
+        ExpandScratch &s = expandScratch();
+        const TilingWalkStats tw = [&] {
+            SUNSTONE_TRACE_SPAN("sunstone.tiling");
+            return firstFitTiles(ba, k - 1, base.remaining, kTopDownNodeCap,
+                                 s.tiles);
+        }();
+        examined.fetch_add(tw.nodesVisited, std::memory_order_relaxed);
+        s.work = base.m;
+        auto &lm = s.work.level(k);
+        const std::int64_t fanout = ba.arch().levels[k].fanout;
+        std::vector<std::int64_t> &rem = s.unrollRem;
+        rem.resize(nDims);
+        s.rem.resize(nDims);
+        for (std::size_t at = 0; at < s.tiles.size(); at += nDims) {
+            const std::int64_t *tile = s.tiles.data() + at;
             DimSet tiled;
             for (DimId d = 0; d < nDims; ++d) {
-                rem[d] /= tile[d];
+                rem[d] = base.remaining[d] / tile[d];
                 if (tile[d] > 1)
                     tiled.add(d);
             }
-            auto orderings = tracedOrderings(tiled);
-            for (const auto &ord : orderings) {
-                const std::int64_t fanout = ba.arch().levels[k].fanout;
+            for (const auto &ord : tracedOrderings(tiled)) {
+                const std::vector<DimId> order = ord.fullOrder(nDims);
                 std::vector<std::vector<std::int64_t>> unrolls;
                 if (fanout > 1) {
                     UnrollResult ur = tracedUnrolls(
@@ -825,78 +934,20 @@ class Driver
                                        std::memory_order_relaxed);
                     unrolls = std::move(ur.candidates);
                 } else {
-                    unrolls.emplace_back(nDims, 1);
+                    unrolls.push_back(ones);
                 }
                 for (const auto &u : unrolls) {
-                    Partial cand = base;
-                    auto &lm = cand.m.level(k);
                     for (DimId d = 0; d < nDims; ++d) {
                         lm.temporal[d] = tile[d];
                         lm.spatial[d] = u[d];
-                        cand.remaining[d] = rem[d] / u[d];
+                        s.rem[d] = rem[d] / u[d];
                     }
-                    lm.order = ord.fullOrder(nDims);
-                    cand.pendingSuffix = ord.suffix;
-                    emit(col, std::move(cand), /*bottom_up=*/false,
-                         EvalEngine::PrefixHandle{});
+                    lm.order.assign(order.begin(), order.end());
+                    emit(col, s.work, s.rem, ord, order,
+                         /*bottom_up=*/false, EvalEngine::PrefixHandle{});
                 }
             }
         }
-    }
-
-    /**
-     * Minimal t[k] factor vectors such that the residual problem fits
-     * the storage level below (top-down tiling frontier). Growth is
-     * unguided (all dims) — the Tiling Principle has nothing to bind to
-     * yet, which is a key reason top-down explores more (Section V-C).
-     */
-    std::vector<std::vector<std::int64_t>>
-    firstFitTiles(const std::vector<std::int64_t> &remaining, int k)
-    {
-        SUNSTONE_TRACE_SPAN("sunstone.tiling");
-        std::vector<std::vector<std::int64_t>> result;
-        std::vector<std::int64_t> unit(nDims, 1);
-        auto residualFits = [&](const std::vector<std::int64_t> &t) {
-            std::vector<std::int64_t> shape(nDims);
-            for (DimId d = 0; d < nDims; ++d)
-                shape[d] = remaining[d] / t[d];
-            return shapeFits(ba, k - 1, shape);
-        };
-        // Hash of the factor vector, not the vector itself: the frontier
-        // visits millions of nodes on large shapes and the ordered-map
-        // key comparisons dominated. A 64-bit FNV collision would only
-        // drop one duplicate candidate, never corrupt a mapping.
-        std::unordered_set<std::uint64_t> visited;
-        std::vector<std::vector<std::int64_t>> frontier{unit};
-        visited.insert(hashFactors(unit));
-        constexpr std::int64_t node_cap = 2'000'000;
-        std::int64_t visited_nodes = 0;
-        while (!frontier.empty()) {
-            std::vector<std::vector<std::int64_t>> next;
-            for (auto &node : frontier) {
-                examined.fetch_add(1, std::memory_order_relaxed);
-                if (++visited_nodes > node_cap) {
-                    SUNSTONE_WARN("top-down tiling frontier capped at ",
-                                  node_cap, " nodes");
-                    return result;
-                }
-                if (residualFits(node)) {
-                    result.push_back(node);
-                    continue;
-                }
-                for (DimId d = 0; d < nDims; ++d) {
-                    std::int64_t nf = nextDivisor(remaining[d], node[d]);
-                    if (nf == 0)
-                        continue;
-                    auto child = node;
-                    child[d] = nf;
-                    if (visited.insert(hashFactors(child)).second)
-                        next.push_back(std::move(child));
-                }
-            }
-            frontier = std::move(next);
-        }
-        return result;
     }
 
     void
@@ -934,6 +985,8 @@ class Driver
     const int nDims;
     EvalEngine &engine;
     const EvalEngine::Context ctx;
+    /** The all-ones factor vector (no unrolling). */
+    const std::vector<std::int64_t> ones;
     SearchDriver *drv_ = nullptr;
     std::atomic<std::int64_t> examined{0};
     /** Global alpha-beta incumbent; serial updates only (merge phase). */

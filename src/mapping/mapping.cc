@@ -36,13 +36,20 @@ Mapping::Mapping(int num_levels, int num_dims)
 std::vector<std::int64_t>
 Mapping::tileShape(int l) const
 {
-    std::vector<std::int64_t> shape(numDims(), 1);
+    std::vector<std::int64_t> shape;
+    tileShape(l, shape);
+    return shape;
+}
+
+void
+Mapping::tileShape(int l, std::vector<std::int64_t> &shape) const
+{
+    shape.assign(numDims(), 1);
     for (int k = 0; k <= l; ++k)
         for (int d = 0; d < numDims(); ++d)
             shape[d] =
                 satMul(shape[d],
                        satMul(levels[k].temporal[d], levels[k].spatial[d]));
-    return shape;
 }
 
 std::vector<std::int64_t>

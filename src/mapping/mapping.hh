@@ -86,6 +86,9 @@ class Mapping
     /** @return cumulative tile shape at level l (see file header). */
     std::vector<std::int64_t> tileShape(int l) const;
 
+    /** tileShape() written into `shape`, reusing its capacity. */
+    void tileShape(int l, std::vector<std::int64_t> &shape) const;
+
     /** @return per-tensor footprints (words) of the level-l tile. */
     std::vector<std::int64_t> footprints(int l, const Workload &wl) const;
 

@@ -95,10 +95,7 @@ struct SearchStats
     double hitRate() const;
 };
 
-/**
- * FNV-1a over a factor vector; also used by search frontiers that dedup
- * factor vectors (e.g. the top-down tiling frontier).
- */
+/** FNV-1a over a factor vector: the engine's memo-cache key hash. */
 std::uint64_t hashFactors(const std::vector<std::int64_t> &v,
                           std::uint64_t seed = 0xcbf29ce484222325ULL);
 

@@ -1,0 +1,184 @@
+/**
+ * @file
+ * Golden outputs of the Sunstone search. Every chosen mapping (as
+ * text), its energy and delay (as hex floats, so equality is bit-exact)
+ * and the candidate count are compared byte for byte against files
+ * under tests/golden/, at 1 and at 4 threads. A change to the search's
+ * bookkeeping must leave all of them unchanged.
+ *
+ * To regenerate after an intended change in search results, run the
+ * binary with SUNSTONE_UPDATE_GOLDEN=1 and review the diff.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "arch/presets.hh"
+#include "core/net_scheduler.hh"
+#include "core/sunstone.hh"
+#include "mapping/serialize.hh"
+#include "model/eval_engine.hh"
+#include "workload/nets.hh"
+#include "workload/zoo.hh"
+
+namespace sunstone {
+namespace {
+
+std::string
+hexDouble(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%a", v);
+    return buf;
+}
+
+std::string
+renderOne(const std::string &name, const BoundArch &ba, bool found,
+          const Mapping &m, const CostResult &cost, std::int64_t examined)
+{
+    std::ostringstream os;
+    os << "== " << name << "\n"
+       << "found " << found << "\n"
+       << "candidates " << examined << "\n";
+    if (found)
+        os << "energy_pj " << hexDouble(cost.totalEnergyPj) << "\n"
+           << "delay_s " << hexDouble(cost.delaySeconds) << "\n"
+           << "edp " << hexDouble(cost.edp) << "\n"
+           << mappingToText(m, ba);
+    return os.str();
+}
+
+std::string
+renderNet(const ArchSpec &arch, const std::vector<Layer> &layers,
+          unsigned threads)
+{
+    EvalEngineOptions eo;
+    eo.threads = threads;
+    EvalEngine eng(eo);
+    NetSchedulerOptions o;
+    o.engine = &eng;
+    o.threads = threads;
+    o.sunstone.threads = threads;
+    const NetScheduleResult res = scheduleNet(arch, layers, o);
+    std::string out;
+    for (std::size_t i = 0; i < res.layers.size(); ++i) {
+        const LayerSchedule &ls = res.layers[i];
+        const BoundArch ba(arch, layers[i].workload);
+        out += renderOne(ls.name, ba, ls.found, ls.mapping, ls.cost,
+                         ls.candidatesExamined);
+    }
+    return out + "total_edp " + hexDouble(res.totalEdp) + "\n";
+}
+
+std::string
+renderSearch(const std::string &name, const BoundArch &ba,
+             SunstoneOptions opts, unsigned threads)
+{
+    EvalEngineOptions eo;
+    eo.threads = threads;
+    EvalEngine eng(eo);
+    opts.engine = &eng;
+    opts.threads = threads;
+    const SunstoneResult r = sunstoneOptimize(ba, opts);
+    return renderOne(name, ba, r.found, r.mapping, r.cost,
+                     r.candidatesExamined);
+}
+
+/** Compares `text` with the golden file, or rewrites the file when
+ *  SUNSTONE_UPDATE_GOLDEN is set. */
+void
+expectGolden(const std::string &file, const std::string &text)
+{
+    const std::string path =
+        std::string(SUNSTONE_SOURCE_DIR) + "/tests/golden/" + file;
+    if (std::getenv("SUNSTONE_UPDATE_GOLDEN")) {
+        std::ofstream(path, std::ios::binary) << text;
+        return;
+    }
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.good()) << "missing golden file " << path;
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(golden.str(), text) << "search output diverged from " << path;
+}
+
+TEST(GoldenSearch, ResNet18OnSimba)
+{
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        expectGolden("search_resnet18_simba.txt",
+                     renderNet(makeSimbaLike(), resnet18Layers(), threads));
+    }
+}
+
+TEST(GoldenSearch, MttkrpOnConventional)
+{
+    const std::vector<Layer> layers = {
+        {makeMTTKRP(12096, 9216, 28800, 32, "mttkrp_nell2"), 1}};
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        expectGolden("search_mttkrp_conventional.txt",
+                     renderNet(makeConventional(), layers, threads));
+    }
+}
+
+TEST(GoldenSearch, TopDown)
+{
+    ConvShape sh;
+    sh.n = 1;
+    sh.k = 16;
+    sh.c = 16;
+    sh.p = 14;
+    sh.q = 14;
+    sh.r = 3;
+    sh.s = 3;
+    const BoundArch eyeriss(makeEyerissLike(), makeConv2D(sh));
+    sh.k = 64;
+    sh.c = 64;
+    sh.p = 28;
+    sh.q = 28;
+    Workload wl = makeConv2D(sh);
+    applySimbaPrecisions(wl);
+    const BoundArch simba(makeSimbaLike(), wl);
+    const BoundArch mttkrp(makeConventional(),
+                           makeMTTKRP(96, 64, 120, 32, "mttkrp_small"));
+    SunstoneOptions opts;
+    opts.levelOrder = SunstoneOptions::LevelOrder::TopDown;
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        expectGolden(
+            "search_topdown.txt",
+            renderSearch("conv_eyeriss", eyeriss, opts, threads) +
+                renderSearch("conv_simba", simba, opts, threads) +
+                renderSearch("mttkrp_conventional", mttkrp, opts, threads));
+    }
+}
+
+TEST(GoldenSearch, IntraLevelOrders)
+{
+    // The two non-default intra-level orders emit through the
+    // tile-then-unroll path, which the default order never takes.
+    const BoundArch ba(makeSimbaLike(), makeConv1D(16, 16, 28, 3));
+    using IO = SunstoneOptions::IntraOrder;
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        std::string text;
+        for (IO io : {IO::OrderTileUnroll, IO::TileUnrollOrder}) {
+            SunstoneOptions opts;
+            opts.intraOrder = io;
+            text += renderSearch(io == IO::OrderTileUnroll
+                                     ? "order_tile_unroll"
+                                     : "tile_unroll_order",
+                                 ba, opts, threads);
+        }
+        expectGolden("search_intra_orders_simba.txt", text);
+    }
+}
+
+} // namespace
+} // namespace sunstone

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
+#include <memory>
+#include <random>
+#include <set>
+
 #include "arch/presets.hh"
+#include "common/logging.hh"
 #include "common/math_utils.hh"
 #include "core/tiling_tree.hh"
 #include "workload/zoo.hh"
@@ -169,6 +177,352 @@ TEST(TilingTree, PruningRatioIsSubstantial)
                         static_cast<double>(res.unprunedSpace);
     EXPECT_LT(kept, 0.5) << "maximal=" << res.maximal.size()
                          << " unpruned=" << res.unprunedSpace;
+}
+
+// -- Lattice properties against brute force ---------------------------
+
+using Factors = std::vector<std::int64_t>;
+
+/** One tiling-tree instance: a binding, a level and the walk inputs. */
+struct LatticeCase
+{
+    std::string what;
+    std::unique_ptr<BoundArch> ba;
+    int level = 0;
+    Factors base, remaining;
+    DimSet grow;
+};
+
+std::int64_t
+pickFrom(std::mt19937_64 &g, const std::vector<std::int64_t> &from)
+{
+    return from[g() % from.size()];
+}
+
+/** A seeded random small conv, matmul or MTTKRP on the toy arch or the
+ *  partitioned Simba-like arch, with a random level, a non-unit base
+ *  shape, the rest of each dim as the quotient, and a random grow set. */
+LatticeCase
+randomCase(std::mt19937_64 &g)
+{
+    const std::vector<std::int64_t> sizes{1, 2, 3, 4, 6, 8, 12, 16, 24};
+    const bool simba = g() % 2;
+    Workload wl = makeGemm(1, 1, 1);
+    std::map<std::string, std::string> bind;
+    LatticeCase c;
+    switch (g() % 3) {
+    case 0: {
+        ConvShape sh;
+        sh.n = pickFrom(g, {1, 2});
+        sh.k = pickFrom(g, sizes);
+        sh.c = pickFrom(g, sizes);
+        sh.p = pickFrom(g, sizes);
+        sh.q = pickFrom(g, {1, 2, 4, 7});
+        sh.r = sh.s = pickFrom(g, {1, 3});
+        wl = makeConv2D(sh);
+        c.what = "conv";
+        break;
+    }
+    case 1:
+        wl = makeGemm(pickFrom(g, sizes), pickFrom(g, sizes),
+                      pickFrom(g, sizes));
+        c.what = "gemm";
+        break;
+    default:
+        wl = makeMTTKRP(pickFrom(g, sizes), pickFrom(g, sizes),
+                        pickFrom(g, sizes), pickFrom(g, sizes));
+        bind = {{"out", "ofmap"}, {"A", "ifmap"}, {"B", "weight"},
+                {"C", "weight"}};
+        c.what = "mttkrp";
+        break;
+    }
+    // The toy arch's L1 and Simba's per-PE buffers are the levels
+    // small enough for these workloads to branch.
+    ArchSpec arch = makeToyArch(pickFrom(g, {8, 16, 32, 64, 128}), 4);
+    c.level = 0;
+    if (simba) {
+        applySimbaPrecisions(wl);
+        arch = makeSimbaLike();
+        c.level = static_cast<int>(g() % 2);
+    }
+    c.what += simba ? " on simba" : " on toy";
+    c.ba = std::make_unique<BoundArch>(arch, wl, bind);
+    const int nd = wl.numDims();
+    for (DimId d = 0; d < nd; ++d) {
+        const auto &divs = cachedDivisors(wl.dimSize(d));
+        // Mostly unit bases so that something fits; sometimes larger.
+        const std::int64_t b = g() % 3 ? 1 : divs[g() % divs.size()];
+        c.base.push_back(b);
+        c.remaining.push_back(wl.dimSize(d) / b);
+        if (g() % 4)
+            c.grow.add(d);
+    }
+    return c;
+}
+
+/** Every factor vector of the divisor lattice over `dims`. */
+std::vector<Factors>
+wholeLattice(const Factors &remaining, DimSet dims)
+{
+    std::vector<Factors> nodes{Factors(remaining.size(), 1)};
+    for (DimId d : dims) {
+        std::vector<Factors> grown;
+        for (const Factors &n : nodes)
+            for (std::int64_t f : cachedDivisors(remaining[d])) {
+                grown.push_back(n);
+                grown.back()[d] = f;
+            }
+        nodes = std::move(grown);
+    }
+    return nodes;
+}
+
+/** Children of a node: one dim raised to its next divisor. */
+std::vector<Factors>
+childrenOf(const Factors &n, const Factors &remaining, DimSet dims)
+{
+    std::vector<Factors> out;
+    for (DimId d : dims) {
+        const std::int64_t nf = nextDivisor(remaining[d], n[d]);
+        if (nf == 0)
+            continue;
+        out.push_back(n);
+        out.back()[d] = nf;
+    }
+    return out;
+}
+
+/** Depth in the lattice: the sum of the divisor indices. */
+std::int64_t
+depthOf(const Factors &n, const Factors &remaining)
+{
+    std::int64_t depth = 0;
+    for (std::size_t d = 0; d < n.size(); ++d) {
+        const auto &divs = cachedDivisors(remaining[d]);
+        depth += std::lower_bound(divs.begin(), divs.end(), n[d]) -
+                 divs.begin();
+    }
+    return depth;
+}
+
+bool
+fitsAt(const BoundArch &ba, int level, const Factors &shape)
+{
+    const Workload &wl = ba.workload();
+    Factors fp(wl.numTensors(), 0);
+    for (TensorId t = 0; t < wl.numTensors(); ++t)
+        if (ba.stores(level, t))
+            fp[t] = wl.tensor(t).footprint(shape);
+    return ba.fits(level, fp);
+}
+
+std::vector<Factors>
+unflatten(const Factors &flat, std::size_t nd)
+{
+    std::vector<Factors> out;
+    for (std::size_t at = 0; at < flat.size(); at += nd)
+        out.emplace_back(flat.begin() + at, flat.begin() + at + nd);
+    return out;
+}
+
+/** Checks listed tiles against an expected set: no tile twice, every
+ *  expected tile present, listed in non-decreasing depth. */
+void
+expectTiles(const std::vector<Factors> &got,
+            const std::set<Factors> &expected, const Factors &remaining)
+{
+    EXPECT_EQ(std::set<Factors>(got.begin(), got.end()), expected);
+    EXPECT_EQ(got.size(), expected.size()) << "a tile is listed twice";
+    for (std::size_t i = 1; i < got.size(); ++i)
+        EXPECT_LE(depthOf(got[i - 1], remaining), depthOf(got[i], remaining))
+            << "tiles out of depth order at " << i;
+}
+
+/** growTiles against the whole lattice: F is the set of fitting nodes.
+ *  @return the number of maximal tiles */
+std::size_t
+checkGrowTiles(const LatticeCase &c)
+{
+    SCOPED_TRACE(c.what + " level " + std::to_string(c.level));
+    const BoundArch &ba = *c.ba;
+    const std::size_t nd = c.remaining.size();
+    auto shapeOf = [&](const Factors &f) {
+        Factors shape(nd);
+        for (std::size_t d = 0; d < nd; ++d)
+            shape[d] = satMul(c.base[d], f[d]);
+        return shape;
+    };
+    const TilingTreeResult res =
+        growTiles(ba, c.level, c.base, c.remaining, c.grow);
+    if (!fitsAt(ba, c.level, c.base)) {
+        EXPECT_TRUE(res.maximal.empty());
+        EXPECT_EQ(res.nodesVisited, 0);
+        return 0;
+    }
+    std::int64_t space = 1;
+    for (DimId d : c.grow)
+        space *= static_cast<std::int64_t>(
+            cachedDivisors(c.remaining[d]).size());
+    EXPECT_EQ(res.unprunedSpace, space);
+
+    std::set<Factors> fitting;
+    for (const Factors &n : wholeLattice(c.remaining, c.grow))
+        if (fitsAt(ba, c.level, shapeOf(n)))
+            fitting.insert(n);
+    std::set<Factors> maximal;
+    std::int64_t visited = 0;
+    for (const Factors &n : fitting) {
+        ++visited;
+        bool any_fitting_child = false;
+        for (const Factors &ch : childrenOf(n, c.remaining, c.grow)) {
+            if (fitting.count(ch))
+                any_fitting_child = true;
+            else
+                ++visited;
+        }
+        if (!any_fitting_child)
+            maximal.insert(n);
+    }
+    expectTiles(res.maximal, maximal, c.remaining);
+    EXPECT_EQ(res.nodesVisited, visited);
+
+    // The flat form lists the same tiles in the same order.
+    Factors flat;
+    const TilingWalkStats st =
+        growTilesInto(ba, c.level, c.base, c.remaining, c.grow, flat);
+    EXPECT_EQ(unflatten(flat, nd), res.maximal);
+    EXPECT_EQ(st.nodesVisited, res.nodesVisited);
+    return maximal.size();
+}
+
+/** firstFitTiles against the whole lattice: V is the set of nodes the
+ *  frontier reaches (the unit, and every child of a reached node whose
+ *  residual does not fit).
+ *  @return the number of first-fit tiles */
+std::size_t
+checkFirstFit(const LatticeCase &c)
+{
+    SCOPED_TRACE(c.what + " level " + std::to_string(c.level));
+    const BoundArch &ba = *c.ba;
+    const std::size_t nd = c.remaining.size();
+    const DimSet all = DimSet::all(static_cast<int>(nd));
+    auto residualFits = [&](const Factors &t) {
+        Factors shape(nd);
+        for (std::size_t d = 0; d < nd; ++d)
+            shape[d] = c.remaining[d] / t[d];
+        return fitsAt(ba, c.level, shape);
+    };
+    // Depth order visits every parent before its children.
+    std::vector<Factors> nodes = wholeLattice(c.remaining, all);
+    std::stable_sort(nodes.begin(), nodes.end(),
+                     [&](const Factors &a, const Factors &b) {
+                         return depthOf(a, c.remaining) <
+                                depthOf(b, c.remaining);
+                     });
+    std::set<Factors> reached{Factors(nd, 1)};
+    std::set<Factors> first_fits;
+    for (const Factors &n : nodes) {
+        if (!reached.count(n))
+            continue;
+        if (residualFits(n)) {
+            first_fits.insert(n);
+            continue;
+        }
+        for (const Factors &ch : childrenOf(n, c.remaining, all))
+            reached.insert(ch);
+    }
+
+    Factors flat;
+    const TilingWalkStats st = firstFitTiles(
+        ba, c.level, c.remaining, std::numeric_limits<std::int64_t>::max(),
+        flat);
+    expectTiles(unflatten(flat, nd), first_fits, c.remaining);
+    EXPECT_EQ(st.nodesVisited, static_cast<std::int64_t>(reached.size()));
+
+    // A cap one short of the walk stops it, keeping a prefix.
+    if (reached.size() > 1) {
+        Factors capped;
+        const LogLevel was = logLevel();
+        setLogLevel(LogLevel::Silent); // the cap's warning is expected
+        const TilingWalkStats cs = firstFitTiles(
+            ba, c.level, c.remaining,
+            static_cast<std::int64_t>(reached.size()) - 1, capped);
+        setLogLevel(was);
+        EXPECT_EQ(cs.nodesVisited, static_cast<std::int64_t>(reached.size()));
+        EXPECT_TRUE(capped.size() <= flat.size() &&
+                    std::equal(capped.begin(), capped.end(), flat.begin()));
+    }
+    return first_fits.size();
+}
+
+TEST(TilingTreeLattice, GrowTilesMatchesBruteForce)
+{
+    std::mt19937_64 g(20230417);
+    int branching = 0;
+    for (int i = 0; i < 300; ++i) {
+        SCOPED_TRACE("case " + std::to_string(i));
+        branching += checkGrowTiles(randomCase(g)) >= 3;
+    }
+    // Guard against a generator that only makes trivial trees.
+    EXPECT_GT(branching, 60);
+}
+
+TEST(TilingTreeLattice, FirstFitMatchesBruteForce)
+{
+    std::mt19937_64 g(7041);
+    int branching = 0;
+    for (int i = 0; i < 200; ++i) {
+        SCOPED_TRACE("case " + std::to_string(i));
+        branching += checkFirstFit(randomCase(g)) >= 3;
+    }
+    EXPECT_GT(branching, 40);
+}
+
+TEST(TilingTreeLattice, ExactWhenTheSpaceSaturates)
+{
+    // Ten dims of 720720 (240 divisors each): the divisor-index space
+    // (240^10) overflows 64 bits, so node keys wrap. A tiny L1 keeps the
+    // fitting set small enough to enumerate from the unit node.
+    std::vector<std::pair<std::string, std::int64_t>> sizes;
+    std::string idx;
+    for (char d = 'a'; d < 'a' + 10; ++d) {
+        sizes.push_back({std::string(1, d), 720720});
+        idx += std::string(idx.empty() ? "" : ",") + d;
+    }
+    Workload wl = parseEinsum("wide", "out[" + idx + "] = x[" + idx + "]",
+                              sizes);
+    BoundArch ba(makeToyArch(16, 1), wl);
+    const Factors unit(10, 1);
+    const DimSet all = DimSet::all(10);
+    const TilingTreeResult res = growTiles(ba, 0, unit, wl.shape(), all);
+    EXPECT_EQ(res.unprunedSpace, std::numeric_limits<std::int64_t>::max());
+
+    std::set<Factors> fitting{unit};
+    std::vector<Factors> work{unit};
+    while (!work.empty()) {
+        const Factors n = work.back();
+        work.pop_back();
+        for (const Factors &ch : childrenOf(n, wl.shape(), all))
+            if (fitsAt(ba, 0, ch) && fitting.insert(ch).second)
+                work.push_back(ch);
+    }
+    std::set<Factors> maximal;
+    std::int64_t visited = 0;
+    for (const Factors &n : fitting) {
+        ++visited;
+        bool any_fitting_child = false;
+        for (const Factors &ch : childrenOf(n, wl.shape(), all)) {
+            if (fitting.count(ch))
+                any_fitting_child = true;
+            else
+                ++visited;
+        }
+        if (!any_fitting_child)
+            maximal.insert(n);
+    }
+    ASSERT_GT(maximal.size(), 10u);
+    expectTiles(res.maximal, maximal, wl.shape());
+    EXPECT_EQ(res.nodesVisited, visited);
 }
 
 } // namespace
