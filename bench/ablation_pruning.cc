@@ -25,7 +25,7 @@ using namespace sunstone;
 int
 main()
 {
-    setQuiet(true);
+    setLogLevel(LogLevel::Silent);
     auto layers = resnet18Layers(1);
 
     std::printf("=== Ablation 1: Tiling Principle pruning of the L1 "

@@ -44,7 +44,7 @@ cell(bool found, double edp, double best)
 int
 main()
 {
-    setQuiet(true);
+    setLogLevel(LogLevel::Silent);
     ArchSpec arch = makeConventional();
     const double budget = bench::baselineBudgetSeconds();
 

@@ -43,7 +43,7 @@ cell(const MapperResult &r)
 int
 main(int argc, char **argv)
 {
-    setQuiet(true);
+    setLogLevel(LogLevel::Silent);
     bench::ObsArgs oargs(argc, argv);
     ArchSpec arch = makeConventional();
     const double budget = bench::baselineBudgetSeconds();
@@ -68,6 +68,11 @@ main(int argc, char **argv)
 
     for (const auto &layer : inceptionV3WeightUpdateLayers(16)) {
         BoundArch ba(arch, layer.workload);
+        // Each baseline search gets a fresh context on the shared engine.
+        auto onBaseline = [&](Mapper &&mapper) {
+            SearchContext sc(&baselineEngine);
+            return mapper.optimize(sc, ba);
+        };
         SunstoneOptions so;
         so.engine = &sunEngine;
         so.convergence = oargs.convergence();
@@ -76,30 +81,25 @@ main(int argc, char **argv)
 
         TimeloopOptions tf = TimeloopOptions::fast();
         tf.maxSeconds = budget;
-        tf.engine = &baselineEngine;
         tf.convergence = oargs.convergence();
-        auto tlf = TimeloopMapper(tf, "TL-fast").optimize(ba);
+        auto tlf = onBaseline(TimeloopMapper(tf, "TL-fast"));
         TimeloopOptions ts = TimeloopOptions::slow();
         ts.maxSeconds = budget;
-        ts.engine = &baselineEngine;
         ts.convergence = oargs.convergence();
-        auto tls = TimeloopMapper(ts, "TL-slow").optimize(ba);
+        auto tls = onBaseline(TimeloopMapper(ts, "TL-slow"));
 
         DMazeOptions df = DMazeOptions::fast();
         df.maxEvaluations = 60000;
-        df.engine = &baselineEngine;
         df.convergence = oargs.convergence();
-        auto dmf = DMazeMapper(df, "dMaze-fast").optimize(ba);
+        auto dmf = onBaseline(DMazeMapper(df, "dMaze-fast"));
         DMazeOptions ds = DMazeOptions::slow();
         ds.maxEvaluations = 60000;
-        ds.engine = &baselineEngine;
         ds.convergence = oargs.convergence();
-        auto dms = DMazeMapper(ds, "dMaze-slow").optimize(ba);
+        auto dms = onBaseline(DMazeMapper(ds, "dMaze-slow"));
 
         InterstellarOptions io;
-        io.engine = &baselineEngine;
         io.convergence = oargs.convergence();
-        auto inter = InterstellarMapper(io).optimize(ba);
+        auto inter = onBaseline(InterstellarMapper(io));
 
         std::printf(
             "%-14s | %9.3g | %9s %9s | %9s %9s | %9s || %7.2f %7.2f "

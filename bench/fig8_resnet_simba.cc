@@ -28,7 +28,7 @@ using namespace sunstone;
 int
 main(int argc, char **argv)
 {
-    setQuiet(true);
+    setLogLevel(LogLevel::Silent);
     bench::ObsArgs oargs(argc, argv);
     ArchSpec arch = makeSimbaLike();
     const double budget = bench::baselineBudgetSeconds();
@@ -71,16 +71,19 @@ main(int argc, char **argv)
         sun.cost = lsched.cost;
         sun.seconds = lsched.seconds;
 
+        // Each baseline search gets a fresh context on the shared engine.
+        auto onBaseline = [&](Mapper &&mapper) {
+            SearchContext sc(&baselineEngine);
+            return mapper.optimize(sc, ba);
+        };
         TimeloopOptions to = TimeloopOptions::slow();
         to.maxSeconds = budget;
-        to.engine = &baselineEngine;
         to.convergence = oargs.convergence();
-        auto tl = TimeloopMapper(to, "TL").optimize(ba);
+        auto tl = onBaseline(TimeloopMapper(to, "TL"));
 
         CosaOptions co;
-        co.engine = &baselineEngine;
         co.convergence = oargs.convergence();
-        auto cosa = CosaMapper(co).optimize(ba);
+        auto cosa = onBaseline(CosaMapper(co));
         ++cosa_total;
         if (!cosa.found)
             ++cosa_invalid;

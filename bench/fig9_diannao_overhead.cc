@@ -28,7 +28,7 @@ using namespace sunstone;
 int
 main()
 {
-    setQuiet(true);
+    setLogLevel(LogLevel::Silent);
     ArchSpec arch = makeDianNaoLike();
 
     std::printf("=== Fig. 9: tiling & unrolling overheads on the "

@@ -21,7 +21,7 @@ using namespace sunstone;
 int
 main()
 {
-    setQuiet(true);
+    setLogLevel(LogLevel::Silent);
     Workload wl = inceptionTableIExample(16);
     BoundArch ba(makeConventional(), wl);
 

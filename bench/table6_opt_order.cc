@@ -35,7 +35,7 @@ struct Config
 int
 main()
 {
-    setQuiet(true);
+    setLogLevel(LogLevel::Silent);
     using LO = SunstoneOptions::LevelOrder;
     using IO = SunstoneOptions::IntraOrder;
 

@@ -75,18 +75,6 @@ logLevel()
     return gLevel.load(std::memory_order_relaxed);
 }
 
-void
-setQuiet(bool quiet)
-{
-    setLogLevel(quiet ? LogLevel::Silent : LogLevel::Info);
-}
-
-bool
-quiet()
-{
-    return logLevel() == LogLevel::Silent;
-}
-
 namespace detail {
 
 void

@@ -372,7 +372,6 @@ scheduleNet(SearchContext &sc, const ArchSpec &arch,
             child.setHardDeadline(*sc.hardDeadline());
         if (sc.hasSeed())
             child.setSeed(sc.seed());
-        child.setSurrogate(sc.surrogate());
         if (useWarmstart)
             child.setWarmStarts(wstore.query(*uniques[u].ba));
         Timer t;
@@ -908,7 +907,6 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
             child.setHardDeadline(*sc.hardDeadline());
         if (sc.hasSeed())
             child.setSeed(sc.seed());
-        child.setSurrogate(sc.surrogate());
         if (useWarmstart)
             child.setWarmStarts(wstore.query(*uniques[u].ba));
         Timer t;
@@ -948,7 +946,6 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
                 child.setHardDeadline(*sc.hardDeadline());
             if (sc.hasSeed())
                 child.setSeed(sc.seed());
-            child.setSurrogate(sc.surrogate());
             // Fused variants share the per-op structure, so stored
             // per-op bests still seed them; fused results are not
             // recorded back (their costs assume ephemeral residency).

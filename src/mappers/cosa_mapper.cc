@@ -94,13 +94,6 @@ class SingleShotStream : public CandidateStream
 
     ResumeMode resumeMode() const override { return ResumeMode::Replay; }
 
-    /** One constructed candidate; it must always be evaluated. */
-    SurrogatePolicy
-    surrogatePolicy() const override
-    {
-        return SurrogatePolicy::RankOnly;
-    }
-
   private:
     Mapping m_;
     bool emitted_ = false;
@@ -199,7 +192,7 @@ CosaMapper::optimize(SearchContext &sc, const BoundArch &ba)
 
     if (!sc.convergence() && opts.convergence)
         sc.setConvergence(opts.convergence);
-    EvalEngine &eng = resolveEngine(sc, opts.engine, 1);
+    EvalEngine &eng = sc.engineOrPrivate(1);
 
     // One-shot construction: the driver evaluates the single candidate,
     // so the convergence trajectory is the one point the solver commits

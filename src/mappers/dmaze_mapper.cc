@@ -179,7 +179,7 @@ DMazeMapper::optimize(SearchContext &sc, const BoundArch &ba)
 
     if (!sc.convergence() && opts.convergence)
         sc.setConvergence(opts.convergence);
-    EvalEngine &eng = resolveEngine(sc, opts.engine, 1);
+    EvalEngine &eng = sc.engineOrPrivate(1);
 
     StopPolicy defaults;
     defaults.maxEvals = opts.maxEvaluations;
@@ -283,10 +283,7 @@ DMazeMapper::optimize(SearchContext &sc, const BoundArch &ba)
 
     DriverOutcome o;
     {
-        // A plain enumeration: every candidate is interchangeable, so
-        // the surrogate may prune ranked batch tails freely.
-        GeneratorStream stream(producer, 2048,
-                               SurrogatePolicy::RankAndPrune);
+        GeneratorStream stream(producer);
         o = drv.run(stream);
     } // joins the producer before the utilization flags are read
 

@@ -137,18 +137,13 @@ ExhaustiveMapper::optimize(SearchContext &sc, const BoundArch &ba)
 
     if (!sc.convergence() && opts.convergence)
         sc.setConvergence(opts.convergence);
-    EvalEngine &eng = resolveEngine(sc, opts.engine, 1);
+    EvalEngine &eng = sc.engineOrPrivate(1);
 
     SearchDriver drv(sc, eng, ba, "exhaustive", opts.optimizeEdp);
     ExhaustiveProducer producer(ba);
-    // Exhaustive sweeps stay exhaustive only with the surrogate off;
-    // with it on, pruning trades completeness for time-to-quality,
-    // which is exactly what the flag requests.
-    GeneratorStream stream(
-        [&producer](const GeneratorStream::Sink &sink) {
-            producer.run(sink);
-        },
-        2048, SurrogatePolicy::RankAndPrune);
+    GeneratorStream stream([&producer](const GeneratorStream::Sink &sink) {
+        producer.run(sink);
+    });
     DriverOutcome o = drv.run(stream);
     return toMapperResult(o, o.found ? "" : "no valid mapping exists");
 }

@@ -116,18 +116,6 @@ class GammaStream : public CandidateStream
         return !done_;
     }
 
-    /**
-     * The GA scores whole generations: every generated individual's
-     * fitness must come back (in generation order) before the
-     * population can promote. Batches may be reordered best-first but
-     * never truncated.
-     */
-    SurrogatePolicy
-    surrogatePolicy() const override
-    {
-        return SurrogatePolicy::RankOnly;
-    }
-
     void
     onResult(std::size_t, const Mapping &, const CostResult &cr) override
     {
@@ -294,7 +282,7 @@ GammaMapper::optimize(SearchContext &sc, const BoundArch &ba)
 
     if (!sc.convergence() && opts.convergence)
         sc.setConvergence(opts.convergence);
-    EvalEngine &eng = resolveEngine(sc, opts.engine, 1);
+    EvalEngine &eng = sc.engineOrPrivate(1);
     sc.ensureSeed(opts.seed);
 
     StopPolicy defaults;

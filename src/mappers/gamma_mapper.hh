@@ -28,13 +28,6 @@ struct GammaOptions
     double maxSeconds = 60.0;
     bool optimizeEdp = true;
 
-    /**
-     * Shared evaluation engine; a private one is created when null.
-     * GA populations converge, so later generations re-evaluate many
-     * repeated individuals — memoization absorbs those.
-     */
-    EvalEngine *engine = nullptr;
-
     /** Optional convergence telemetry (see obs/convergence.hh). */
     obs::ConvergenceRecorder *convergence = nullptr;
 };

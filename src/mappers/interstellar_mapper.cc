@@ -116,7 +116,7 @@ InterstellarMapper::optimize(SearchContext &sc, const BoundArch &ba)
 
     if (!sc.convergence() && opts.convergence)
         sc.setConvergence(opts.convergence);
-    EvalEngine &eng = resolveEngine(sc, opts.engine, 1);
+    EvalEngine &eng = sc.engineOrPrivate(1);
 
     StopPolicy defaults;
     defaults.maxEvals = opts.maxEvaluations;
@@ -215,9 +215,7 @@ InterstellarMapper::optimize(SearchContext &sc, const BoundArch &ba)
         }
     };
 
-    // Preset-dataflow enumeration; batch tails may be pruned.
-    GeneratorStream stream(producer, 2048,
-                           SurrogatePolicy::RankAndPrune);
+    GeneratorStream stream(producer);
     DriverOutcome o = drv.run(stream);
     return toMapperResult(
         o, o.found ? "" : "no valid mapping with the preset unrolling");

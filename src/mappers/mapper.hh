@@ -98,14 +98,6 @@ class Mapper
      */
     static MapperResult toMapperResult(const DriverOutcome &o,
                                        const std::string &not_found_reason);
-
-    /**
-     * Resolves the engine the search runs on: the context's borrowed
-     * engine wins, then the legacy option-struct engine, then a private
-     * engine created inside the context with `threads` workers.
-     */
-    static EvalEngine &resolveEngine(SearchContext &sc, EvalEngine *legacy,
-                                     unsigned threads);
 };
 
 } // namespace sunstone

@@ -96,13 +96,6 @@ class TimeloopStream : public CandidateStream
 
     ResumeMode resumeMode() const override { return ResumeMode::State; }
 
-    /** Uniform random samples are interchangeable; prune freely. */
-    SurrogatePolicy
-    surrogatePolicy() const override
-    {
-        return SurrogatePolicy::RankAndPrune;
-    }
-
     std::string
     saveState() const override
     {
@@ -142,7 +135,7 @@ TimeloopMapper::optimize(SearchContext &sc, const BoundArch &ba)
 
     if (!sc.convergence() && opts.convergence)
         sc.setConvergence(opts.convergence);
-    EvalEngine &eng = resolveEngine(sc, opts.engine, opts.threads);
+    EvalEngine &eng = sc.engineOrPrivate(opts.threads);
     sc.ensureSeed(opts.seed);
 
     StopPolicy defaults;

@@ -37,13 +37,6 @@ struct TimeloopOptions
     /** Rank mappings by EDP (default) or energy. */
     bool optimizeEdp = true;
 
-    /**
-     * Shared evaluation engine; a private one sized by `threads` is
-     * created when null (the network benches inject one to share its
-     * telemetry and worker pool across tools).
-     */
-    EvalEngine *engine = nullptr;
-
     /** Optional convergence telemetry (see obs/convergence.hh). */
     obs::ConvergenceRecorder *convergence = nullptr;
 

@@ -72,6 +72,36 @@ Mapping::totalSpatial() const
 }
 
 bool
+packsOntoMesh(const LevelMapping &lm, const LevelSpec &lv,
+              std::vector<std::int64_t> &factors, std::string *why)
+{
+    if (lv.meshX <= 0)
+        return true;
+    // Dimension counts are tiny, so subsets are enumerated directly.
+    factors.clear();
+    for (std::int64_t f : lm.spatial)
+        if (f > 1)
+            factors.push_back(f);
+    const std::size_t n = factors.size();
+    for (std::size_t mask = 0; mask < (std::size_t(1) << n); ++mask) {
+        std::int64_t x = 1, y = 1;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (mask & (std::size_t(1) << i))
+                x = satMul(x, factors[i]);
+            else
+                y = satMul(y, factors[i]);
+        }
+        if (x <= lv.meshX && y <= lv.meshY)
+            return true;
+    }
+    if (why)
+        *why = "spatial factors do not pack onto the " +
+               std::to_string(lv.meshX) + "x" + std::to_string(lv.meshY) +
+               " mesh at level '" + lv.name + "'";
+    return false;
+}
+
+bool
 Mapping::valid(const BoundArch &ba, std::string *why) const
 {
     // Non-hot callers go through a per-thread scratch; the cost model's
@@ -123,38 +153,8 @@ Mapping::valid(const BoundArch &ba, ValidityScratch &vs,
         if (lm.spatialProduct() > lv.fanout)
             return fail("spatial product exceeds fanout at level '" +
                         lv.name + "'");
-        if (lv.meshX > 0) {
-            // The spatial factors must pack onto the physical X x Y
-            // mesh: some subset's product <= meshX with the complement's
-            // product <= meshY. Dimension counts are tiny, so subsets
-            // are enumerated directly.
-            auto &factors = vs.meshFactors;
-            factors.clear();
-            for (DimId d = 0; d < wl.numDims(); ++d)
-                if (lm.spatial[d] > 1)
-                    factors.push_back(lm.spatial[d]);
-            bool packable = false;
-            const std::size_t n = factors.size();
-            for (std::size_t mask = 0; mask < (std::size_t(1) << n);
-                 ++mask) {
-                std::int64_t x = 1, y = 1;
-                for (std::size_t i = 0; i < n; ++i) {
-                    if (mask & (std::size_t(1) << i))
-                        x = satMul(x, factors[i]);
-                    else
-                        y = satMul(y, factors[i]);
-                }
-                if (x <= lv.meshX && y <= lv.meshY) {
-                    packable = true;
-                    break;
-                }
-            }
-            if (!packable)
-                return fail("spatial factors do not pack onto the " +
-                            std::to_string(lv.meshX) + "x" +
-                            std::to_string(lv.meshY) +
-                            " mesh at level '" + lv.name + "'");
-        }
+        if (!packsOntoMesh(lm, lv, vs.meshFactors, why))
+            return false;
     }
 
     // Every stored tile must fit its level. The cumulative shape

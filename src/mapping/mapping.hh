@@ -63,6 +63,21 @@ struct ValidityScratch
     std::vector<std::int64_t> meshFactors;
 };
 
+/**
+ * Mesh-packing check of one level: when `lv` has a physical X x Y mesh,
+ * the level's spatial factors must pack onto it (some subset's product
+ * <= meshX with the complement's product <= meshY). The one
+ * implementation behind Mapping::valid() and the cost model's validity
+ * check.
+ *
+ * @param factors scratch for the level's non-unit spatial factors
+ * @param why optional out-parameter receiving the failure reason
+ * @return true when the level has no mesh or the factors pack
+ */
+bool packsOntoMesh(const LevelMapping &lm, const LevelSpec &lv,
+                   std::vector<std::int64_t> &factors,
+                   std::string *why = nullptr);
+
 /** A complete mapping of a workload onto an architecture. */
 class Mapping
 {

@@ -326,7 +326,7 @@ physicalFanRange(const ArchSpec &arch, int lo, int hi)
 }
 
 /**
- * Shape half of detail::fillTables(): cumulative tile shapes and
+ * Shape half of fillTables(): cumulative tile shapes and
  * per-level spatial products. Reads only the factor arrays (never
  * lm.order), so it is safe to run before order validation; the column
  * folds are the exact satMul chains the per-dim factor-product check
@@ -356,7 +356,7 @@ fillShapes(const Mapping &m, EvalScratch &s)
 }
 
 /**
- * Loop half of detail::fillTables(): the linearized temporal nest and
+ * Loop half of fillTables(): the linearized temporal nest and
  * the suffix products. Walks lm.order with the DimIds as indices, so
  * orders must be validated (or trusted via assumeValid) first.
  */
@@ -420,10 +420,7 @@ fillLoops(const Mapping &m, EvalScratch &s)
     finishLoopTables(s, n);
 }
 
-} // anonymous namespace
-
-namespace detail {
-
+/** Resets `res` to a freshly constructed state, reusing capacity. */
 void
 resetCostResult(CostResult &res, int nl, int nt)
 {
@@ -459,18 +456,19 @@ fillTables(const Mapping &m, EvalScratch &s)
 }
 
 /**
- * Mirror of Mapping::valid() for the evaluation fast path: identical
- * checks, order, and failure strings (pinned by the batch-eval test
- * suite — any edit here must be mirrored in mapping.cc and vice versa).
- * The difference is purely mechanical: the shape tables are built once
- * up front (fillShapes reads only the factor arrays, which are safe
- * before order validation) and every product the standalone check folds
- * per dim or per level is read back out of them — the outermost
- * cumulative shape row IS the per-dim factor product, levelSpatial IS
- * the per-level spatial product, both by the identical satMul chains —
- * and the fits pass records the per-(level, tensor) footprints in
- * s.tileFp, so a subsequent countAccess() never recomputes a tile
- * footprint the fits checks already priced.
+ * Validity check of the evaluation fast path: the same checks, in the
+ * same order and with the same failure strings, as Mapping::valid()
+ * (pinned by tests/test_eval_equivalence.cc,
+ * CheckValidMatchesMappingValid); the mesh-packing check is the shared
+ * packsOntoMesh(). The shape tables are built once up front (fillShapes
+ * reads only the factor arrays, which are safe before order validation)
+ * and every product the standalone check folds per dim or per level is
+ * read back out of them — the outermost cumulative shape row IS the
+ * per-dim factor product, levelSpatial IS the per-level spatial
+ * product, both by the identical satMul chains — and the fits pass
+ * records the per-(level, tensor) footprints in s.tileFp, so
+ * countAccess() never recomputes a tile footprint the fits checks
+ * already priced. On success the scratch tables are fully built.
  */
 bool
 checkValid(const BoundArch &ba, const Mapping &m, EvalScratch &s,
@@ -530,38 +528,8 @@ checkValid(const BoundArch &ba, const Mapping &m, EvalScratch &s,
         if (s.levelSpatial[l] > lv.fanout)
             return fail("spatial product exceeds fanout at level '" +
                         lv.name + "'");
-        if (lv.meshX > 0) {
-            // The spatial factors must pack onto the physical X x Y
-            // mesh: some subset's product <= meshX with the complement's
-            // product <= meshY. Dimension counts are tiny, so subsets
-            // are enumerated directly.
-            auto &factors = s.validity.meshFactors;
-            factors.clear();
-            for (DimId d = 0; d < wl.numDims(); ++d)
-                if (lm.spatial[d] > 1)
-                    factors.push_back(lm.spatial[d]);
-            bool packable = false;
-            const std::size_t n = factors.size();
-            for (std::size_t mask = 0; mask < (std::size_t(1) << n);
-                 ++mask) {
-                std::int64_t x = 1, y = 1;
-                for (std::size_t i = 0; i < n; ++i) {
-                    if (mask & (std::size_t(1) << i))
-                        x = satMul(x, factors[i]);
-                    else
-                        y = satMul(y, factors[i]);
-                }
-                if (x <= lv.meshX && y <= lv.meshY) {
-                    packable = true;
-                    break;
-                }
-            }
-            if (!packable)
-                return fail("spatial factors do not pack onto the " +
-                            std::to_string(lv.meshX) + "x" +
-                            std::to_string(lv.meshY) +
-                            " mesh at level '" + lv.name + "'");
-        }
+        if (!packsOntoMesh(lm, lv, s.validity.meshFactors, why))
+            return false;
     }
 
     // Every stored tile must fit its level. The loop collection above
@@ -898,15 +866,10 @@ finalizeResult(const BoundArch &ba, const CostModelOptions &opts,
     res.edp = res.totalEnergyPj * 1e-12 * res.delaySeconds;
 }
 
-} // namespace detail
-
-namespace {
-
 /**
  * The one true evaluation, staged: prepare and reset, validity (through
  * the scratch's allocation-free buffers), integer access counting, then
- * floating-point finalization. The stages live in detail:: so the SoA
- * batch evaluator can drive them per lane with identical semantics.
+ * floating-point finalization.
  */
 void
 evaluateCore(const BoundArch &ba, const Mapping &m,
@@ -914,22 +877,22 @@ evaluateCore(const BoundArch &ba, const Mapping &m,
              EvalScratch &s, CostResult &res)
 {
     s.prepare(ba);
-    detail::resetCostResult(res, s.nl, s.nt);
+    resetCostResult(res, s.nl, s.nt);
 
     if (!opts.assumeValid) {
-        if (!detail::checkValid(ba, m, s, &res.invalidReason)) {
+        if (!checkValid(ba, m, s, &res.invalidReason)) {
             res.valid = false;
             res.edp = std::numeric_limits<double>::infinity();
             res.totalEnergyPj = std::numeric_limits<double>::infinity();
             return;
         }
     } else {
-        detail::fillTables(m, s); // checkValid would have built them
+        fillTables(m, s); // checkValid would have built them
     }
     res.valid = true;
 
-    const double noc = detail::countAccess(ba, m, opts, prefix, s);
-    detail::finalizeResult(ba, opts, s, noc, res);
+    const double noc = countAccess(ba, m, opts, prefix, s);
+    finalizeResult(ba, opts, s, noc, res);
 }
 
 } // anonymous namespace
@@ -968,7 +931,7 @@ buildPrefixTerms(const BoundArch &ba, const Mapping &base, int prefix_levels,
     const ArchSpec &arch = ba.arch();
     EvalScratch &s = scratch;
     s.prepare(ba);
-    detail::fillTables(base, s);
+    fillTables(base, s);
 
     const int nl = s.nl;
     const int nt = s.nt;

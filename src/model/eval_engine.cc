@@ -8,7 +8,6 @@
 #include <limits>
 
 #include "common/json.hh"
-#include "model/batch_eval.hh"
 #include "obs/flight_recorder.hh"
 
 namespace sunstone {
@@ -68,43 +67,7 @@ appendJsonDouble(std::string &out, double v)
     out += buf;
 }
 
-/**
- * Per-thread cache of BatchEvaluators, keyed by the engine context's
- * (BoundArch address, structural fingerprint) plus the option bits the
- * evaluator bakes in. The fingerprint guards the address: if a BoundArch
- * is destroyed and a structurally different one lands at the same
- * address, the fingerprints differ and a fresh evaluator is built; if
- * the fingerprints match, every coefficient the cached evaluator
- * precomputed is identical by construction. Small LRU-ish cap — search
- * drivers alternate between at most a handful of contexts.
- */
-BatchEvaluator &
-threadBatchEvaluator(const EvalEngine::Context &ctx,
-                     const CostModelOptions &opts)
-{
-    struct CacheEntry {
-        const void *ba;
-        std::uint64_t fp;
-        int bits;
-        std::unique_ptr<BatchEvaluator> be;
-    };
-    thread_local std::vector<CacheEntry> cache;
-    const int bits = (opts.assumeValid ? 1 : 0) | (opts.modelNoc ? 2 : 0);
-    const void *ba = &ctx.boundArch();
-    for (auto &e : cache)
-        if (e.ba == ba && e.fp == ctx.fingerprint() && e.bits == bits)
-            return *e.be;
-    constexpr std::size_t kMaxEvaluators = 8;
-    if (cache.size() >= kMaxEvaluators)
-        cache.erase(cache.begin());
-    cache.push_back({ba, ctx.fingerprint(), bits,
-                     std::make_unique<BatchEvaluator>(ctx.boundArch(),
-                                                      opts)});
-    return *cache.back().be;
-}
-
-} // anonymous namespace
-
+/** FNV-1a over a canonical key, seeded with the context fingerprint. */
 std::uint64_t
 hashFactors(const std::vector<std::int64_t> &v, std::uint64_t seed)
 {
@@ -113,6 +76,8 @@ hashFactors(const std::vector<std::int64_t> &v, std::uint64_t seed)
         h = fnvStep(h, static_cast<std::uint64_t>(x));
     return h;
 }
+
+} // anonymous namespace
 
 SearchStats
 SearchStats::deltaSince(const SearchStats &earlier) const
@@ -303,88 +268,74 @@ EvalEngine::canonicalPrefixKey(const Mapping &m, int prefix_levels,
     }
 }
 
-CostResult
-EvalEngine::evaluateImpl(const Context &ctx, const Mapping &m,
+void
+EvalEngine::evaluateInto(const Context &ctx, const Mapping &m,
                          const CostModelOptions &opts, CachePolicy policy,
-                         const PrefixTerms *prefix)
+                         const PrefixTerms *prefix, CostResult &out)
 {
-    // Time only analytical-model invocations (cache hits return in
-    // nanoseconds and would swamp the histogram's low buckets).
-    auto timedEval = [&](CostResult &out) {
-        const auto t0 = std::chrono::steady_clock::now();
-        EvalScratch &scratch = threadEvalScratch();
-        const std::int64_t reuse0 = scratch.reuseCount();
-        if (prefix)
-            evaluateMappingWithPrefixInto(ctx.boundArch(), *prefix, m,
-                                          opts, scratch, out);
-        else
-            evaluateMappingInto(ctx.boundArch(), m, opts, scratch, out);
-        scratchReuses_.add(scratch.reuseCount() - reuse0);
-        evalLatencyUs_.record(
-            std::chrono::duration<double, std::micro>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-    };
-
     evaluations_.add(1);
-    if (!opts_.enableCache || policy == CachePolicy::Bypass) {
-        CostResult r;
-        timedEval(r);
-        if (!r.valid)
-            invalid_.add(1);
-        return r;
-    }
+    const bool useCache =
+        opts_.enableCache && policy != CachePolicy::Bypass;
 
     // The lookup key lives in a per-thread buffer so cache hits (the
     // common case in ranking and hill-climb revisits) allocate nothing.
     thread_local std::vector<std::int64_t> key;
-    canonicalKey(m, opts, key);
-    const std::uint64_t h = hashFactors(key, ctx.fingerprint());
-    Shard &shard = *shards_[h & (shards_.size() - 1)];
-
-    {
-        std::lock_guard<std::mutex> lk(shard.mtx);
-        auto it = shard.map.find(h);
-        if (it != shard.map.end() && it->second.key == key) {
+    Shard *shard = nullptr;
+    std::uint64_t h = 0;
+    if (useCache) {
+        canonicalKey(m, opts, key);
+        h = hashFactors(key, ctx.fingerprint());
+        shard = shards_[h & (shards_.size() - 1)].get();
+        std::lock_guard<std::mutex> lk(shard->mtx);
+        auto it = shard->map.find(h);
+        if (it != shard->map.end() && it->second.key == key) {
             hits_.add(1);
-            return it->second.result;
+            out = it->second.result;
+            return;
         }
+        misses_.add(1);
     }
 
-    misses_.add(1);
-    CostResult r;
-    timedEval(r);
-    if (!r.valid)
+    // Time only analytical-model invocations (cache hits return in
+    // nanoseconds and would swamp the histogram's low buckets).
+    const auto t0 = std::chrono::steady_clock::now();
+    EvalScratch &scratch = threadEvalScratch();
+    const std::int64_t reuse0 = scratch.reuseCount();
+    if (prefix)
+        evaluateMappingWithPrefixInto(ctx.boundArch(), *prefix, m, opts,
+                                      scratch, out);
+    else
+        evaluateMappingInto(ctx.boundArch(), m, opts, scratch, out);
+    scratchReuses_.add(scratch.reuseCount() - reuse0);
+    evalLatencyUs_.record(std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+    if (!out.valid)
         invalid_.add(1);
+    if (!useCache)
+        return;
 
-    {
-        std::lock_guard<std::mutex> lk(shard.mtx);
-        if (shard.map.size() >= opts_.maxEntriesPerShard) {
-            evictions_.add(static_cast<std::int64_t>(shard.map.size()));
-            obs::flightRecorder().record(
-                "cache.epoch_reset",
-                "entries=" + std::to_string(shard.map.size()));
-            shard.map.clear();
-        }
-        Entry &e = shard.map[h];
-        e.key = key; // copy: the thread-local buffer is reused next call
-        e.result = r;
+    std::lock_guard<std::mutex> lk(shard->mtx);
+    if (shard->map.size() >= opts_.maxEntriesPerShard) {
+        evictions_.add(static_cast<std::int64_t>(shard->map.size()));
+        obs::flightRecorder().record(
+            "cache.epoch_reset",
+            "entries=" + std::to_string(shard->map.size()));
+        shard->map.clear();
     }
-    return r;
+    Entry &e = shard->map[h];
+    e.key = key; // copy: the thread-local buffer is reused next call
+    e.result = out;
 }
 
 CostResult
 EvalEngine::evaluate(const Context &ctx, const Mapping &m,
-                     const CostModelOptions &opts, CachePolicy policy)
+                     const CostModelOptions &opts, CachePolicy policy,
+                     const PrefixHandle &ph)
 {
-    return evaluateImpl(ctx, m, opts, policy, nullptr);
-}
-
-CostResult
-EvalEngine::evaluate(const BoundArch &ba, const Mapping &m,
-                     const CostModelOptions &opts, CachePolicy policy)
-{
-    return evaluate(context(ba), m, opts, policy);
+    CostResult r;
+    evaluateInto(ctx, m, opts, policy, ph.terms_.get(), r);
+    return r;
 }
 
 EvalEngine::PrefixHandle
@@ -426,38 +377,14 @@ EvalEngine::prefix(const Context &ctx, const Mapping &base,
     return handle;
 }
 
-CostResult
-EvalEngine::evaluateWithPrefix(const Context &ctx, const PrefixHandle &ph,
-                               const Mapping &m,
-                               const CostModelOptions &opts,
-                               CachePolicy policy)
-{
-    return evaluateImpl(ctx, m, opts, policy, ph.terms_.get());
-}
-
 double
 EvalEngine::scoreEnergy(const Context &ctx, const PrefixHandle &ph,
                         const Mapping &m, const CostModelOptions &opts)
 {
-    evaluations_.add(1);
-    const auto t0 = std::chrono::steady_clock::now();
-    EvalScratch &scratch = threadEvalScratch();
-    const std::int64_t reuse0 = scratch.reuseCount();
     thread_local CostResult res;
-    if (ph.terms_)
-        evaluateMappingWithPrefixInto(ctx.boundArch(), *ph.terms_, m, opts,
-                                      scratch, res);
-    else
-        evaluateMappingInto(ctx.boundArch(), m, opts, scratch, res);
-    scratchReuses_.add(scratch.reuseCount() - reuse0);
-    evalLatencyUs_.record(std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count());
-    if (!res.valid) {
-        invalid_.add(1);
-        return std::numeric_limits<double>::infinity();
-    }
-    return res.totalEnergyPj;
+    evaluateInto(ctx, m, opts, CachePolicy::Bypass, ph.terms_.get(), res);
+    return res.valid ? res.totalEnergyPj
+                     : std::numeric_limits<double>::infinity();
 }
 
 void
@@ -472,14 +399,14 @@ EvalEngine::evaluateBatch(const Context &ctx, std::span<const Mapping> ms,
     batchSize_.record(static_cast<double>(ms.size()));
 
     // Fixed-size chunks independent of the pool geometry: chunk c always
-    // covers the same index range, so out[] and the cache contents are
-    // reproducible for any thread count.
+    // covers the same index range, so out[] is reproducible for any
+    // thread count.
     constexpr std::size_t kChunk = 64;
     const std::size_t nChunks = (ms.size() + kChunk - 1) / kChunk;
     auto runChunk = [&](std::size_t c) {
-        const std::size_t lo = c * kChunk;
-        const std::size_t hi = std::min(ms.size(), lo + kChunk);
-        evaluateChunk(ctx, ms, opts, policy, out, lo, hi);
+        const std::size_t hi = std::min(ms.size(), (c + 1) * kChunk);
+        for (std::size_t i = c * kChunk; i < hi; ++i)
+            evaluateInto(ctx, ms[i], opts, policy, nullptr, out[i]);
     };
     if (nChunks == 1 || opts_.threads == 1) {
         for (std::size_t c = 0; c < nChunks; ++c)
@@ -487,108 +414,6 @@ EvalEngine::evaluateBatch(const Context &ctx, std::span<const Mapping> ms,
         return;
     }
     parallelFor(pool(), nChunks, runChunk);
-}
-
-void
-EvalEngine::evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
-                          const CostModelOptions &opts, CachePolicy policy,
-                          std::vector<CostResult> &out, std::size_t lo,
-                          std::size_t hi)
-{
-    BatchEvaluator &be = threadBatchEvaluator(ctx, opts);
-    evaluations_.add(static_cast<std::int64_t>(hi - lo));
-    const bool useCache = opts_.enableCache && policy != CachePolicy::Bypass;
-
-    // Gather the evaluations the cache cannot serve. Per-thread buffers:
-    // steady-state batches allocate nothing beyond string churn.
-    thread_local std::vector<const Mapping *> missM;
-    thread_local std::vector<CostResult *> missR;
-    thread_local std::vector<std::uint64_t> missHash;
-    thread_local std::vector<std::size_t> missKeyOff;
-    thread_local std::vector<std::int64_t> keysFlat;
-    missM.clear();
-    missR.clear();
-    missHash.clear();
-    missKeyOff.clear();
-    keysFlat.clear();
-
-    if (!useCache) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            missM.push_back(&ms[i]);
-            missR.push_back(&out[i]);
-        }
-    } else {
-        thread_local std::vector<std::int64_t> key;
-        for (std::size_t i = lo; i < hi; ++i) {
-            canonicalKey(ms[i], opts, key);
-            const std::uint64_t h = hashFactors(key, ctx.fingerprint());
-            Shard &shard = *shards_[h & (shards_.size() - 1)];
-            bool hit = false;
-            {
-                std::lock_guard<std::mutex> lk(shard.mtx);
-                auto it = shard.map.find(h);
-                if (it != shard.map.end() && it->second.key == key) {
-                    out[i] = it->second.result;
-                    hit = true;
-                }
-            }
-            if (hit) {
-                hits_.add(1);
-                continue;
-            }
-            misses_.add(1);
-            missM.push_back(&ms[i]);
-            missR.push_back(&out[i]);
-            missHash.push_back(h);
-            missKeyOff.push_back(keysFlat.size());
-            keysFlat.insert(keysFlat.end(), key.begin(), key.end());
-        }
-        missKeyOff.push_back(keysFlat.size()); // end sentinel
-    }
-
-    if (missM.empty())
-        return;
-
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::int64_t reuse0 = be.scratchReuses();
-    be.evaluate(missM.data(), missM.size(), missR.data());
-    scratchReuses_.add(be.scratchReuses() - reuse0);
-    // One histogram sample per chunk at the per-eval mean: cache hits
-    // stay excluded and the distribution stays comparable to the
-    // per-call path without a clock read per mapping.
-    evalLatencyUs_.record(std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count() /
-                          static_cast<double>(missM.size()));
-
-    for (std::size_t j = 0; j < missM.size(); ++j) {
-        if (!missR[j]->valid)
-            invalid_.add(1);
-        if (!useCache)
-            continue;
-        Shard &shard = *shards_[missHash[j] & (shards_.size() - 1)];
-        std::lock_guard<std::mutex> lk(shard.mtx);
-        if (shard.map.size() >= opts_.maxEntriesPerShard) {
-            evictions_.add(static_cast<std::int64_t>(shard.map.size()));
-            obs::flightRecorder().record(
-                "cache.epoch_reset",
-                "entries=" + std::to_string(shard.map.size()));
-            shard.map.clear();
-        }
-        Entry &e = shard.map[missHash[j]];
-        e.key.assign(keysFlat.begin() + missKeyOff[j],
-                     keysFlat.begin() + missKeyOff[j + 1]);
-        e.result = *missR[j];
-    }
-}
-
-std::vector<CostResult>
-EvalEngine::evaluateBatch(const Context &ctx, std::span<const Mapping> ms,
-                          const CostModelOptions &opts, CachePolicy policy)
-{
-    std::vector<CostResult> out;
-    evaluateBatch(ctx, ms, opts, policy, out);
-    return out;
 }
 
 ThreadPool &

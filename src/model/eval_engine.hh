@@ -95,10 +95,6 @@ struct SearchStats
     double hitRate() const;
 };
 
-/** FNV-1a over a factor vector: the engine's memo-cache key hash. */
-std::uint64_t hashFactors(const std::vector<std::int64_t> &v,
-                          std::uint64_t seed = 0xcbf29ce484222325ULL);
-
 /** Engine construction knobs. */
 struct EvalEngineOptions
 {
@@ -175,15 +171,17 @@ class EvalEngine
     /** Fingerprints the pair; do once per search, not per evaluation. */
     Context context(const BoundArch &ba) const;
 
-    /** Evaluates through the memoization cache. */
+    /**
+     * Evaluates through the memoization cache. With a non-empty prefix
+     * handle, a mapping sharing the handle's decided prefix reuses its
+     * cached terms and only recomputes the undecided levels;
+     * bit-identical to the plain path for any mapping whose canonical
+     * prefix matches the handle's, and both share one memo-cache entry.
+     */
     CostResult evaluate(const Context &ctx, const Mapping &m,
                         const CostModelOptions &opts = {},
-                        CachePolicy policy = CachePolicy::UseCache);
-
-    /** Convenience overload fingerprinting on every call. */
-    CostResult evaluate(const BoundArch &ba, const Mapping &m,
-                        const CostModelOptions &opts = {},
-                        CachePolicy policy = CachePolicy::UseCache);
+                        CachePolicy policy = CachePolicy::UseCache,
+                        const PrefixHandle &ph = {});
 
     /**
      * Returns (building on demand) the contribution terms of levels
@@ -197,20 +195,8 @@ class EvalEngine
                         int prefix_levels);
 
     /**
-     * Like evaluate(), but mappings sharing the handle's decided prefix
-     * reuse its cached terms and only recompute the undecided levels.
-     * Bit-identical to evaluate() for any mapping whose canonical prefix
-     * matches the handle's; results share the same memo-cache entries.
-     */
-    CostResult evaluateWithPrefix(const Context &ctx,
-                                  const PrefixHandle &ph, const Mapping &m,
-                                  const CostModelOptions &opts = {},
-                                  CachePolicy policy =
-                                      CachePolicy::UseCache);
-
-    /**
-     * Allocation-free scoring fast path: evaluates into per-thread
-     * buffers and returns only the total energy (pJ); infinity for
+     * Allocation-free scoring: a Bypass evaluation into a per-thread
+     * result that returns only the total energy (pJ); infinity for
      * invalid mappings. Counted as an evaluation, never cached. This is
      * what high-volume completion scoring calls — identical numbers to
      * evaluate(...).totalEnergyPj without materializing a CostResult.
@@ -219,33 +205,16 @@ class EvalEngine
                        const Mapping &m, const CostModelOptions &opts = {});
 
     /**
-     * Evaluates a batch of mappings through the SoA batch evaluator
-     * (model/batch_eval.hh): the batch is cut into fixed-size chunks
-     * (independent of the pool size, so results and cache contents are
-     * deterministic for any thread count) and each chunk runs through a
-     * per-thread BatchEvaluator with the floating-point finalization
-     * vectorized across candidate lanes. out[i] corresponds to ms[i].
-     *
-     * Results are identical to calling evaluate() per mapping: bitwise
-     * when the runtime scalar fallback is active (SUNSTONE_SIMD=off),
-     * and on mainstream toolchains also with the packed kernels (same
-     * IEEE operations in the same per-lane order, no FMA); the pinned
-     * contract for the packed path is integer-exact counters plus
-     * tightly tolerance-bounded doubles (tests/test_batch_eval.cc).
-     * Under CachePolicy::UseCache, hits are served per mapping and only
-     * the misses run through the SoA path (and are then inserted).
-     * The per-eval latency histogram records one sample per chunk (the
-     * chunk mean) rather than one per evaluation.
+     * Evaluates a batch of mappings; out[i] corresponds to ms[i] and is
+     * written in place, reusing its buffers. The batch is cut into
+     * fixed 64-mapping chunks (independent of the pool size, so results
+     * are deterministic for any thread count) that run over the pool,
+     * and every mapping goes through the same body as evaluate(), so
+     * results are bit-identical to calling evaluate() per mapping.
      */
     void evaluateBatch(const Context &ctx, std::span<const Mapping> ms,
                        const CostModelOptions &opts, CachePolicy policy,
                        std::vector<CostResult> &out);
-
-    /** Convenience overload returning the results by value. */
-    std::vector<CostResult>
-    evaluateBatch(const Context &ctx, std::span<const Mapping> ms,
-                  const CostModelOptions &opts = {},
-                  CachePolicy policy = CachePolicy::UseCache);
 
     /**
      * The shared worker pool, created on first use with the configured
@@ -292,13 +261,14 @@ class EvalEngine
                       std::vector<std::int64_t> &out) const;
     void canonicalPrefixKey(const Mapping &m, int prefix_levels,
                             std::vector<std::int64_t> &out) const;
-    CostResult evaluateImpl(const Context &ctx, const Mapping &m,
-                            const CostModelOptions &opts, CachePolicy policy,
-                            const PrefixTerms *prefix);
-    void evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
-                       const CostModelOptions &opts, CachePolicy policy,
-                       std::vector<CostResult> &out, std::size_t lo,
-                       std::size_t hi);
+    /**
+     * The one evaluation body: memo lookup, analytical-model call and
+     * memo insert, writing the result into `out` in place. `prefix`
+     * selects the incremental model path when non-null.
+     */
+    void evaluateInto(const Context &ctx, const Mapping &m,
+                      const CostModelOptions &opts, CachePolicy policy,
+                      const PrefixTerms *prefix, CostResult &out);
 
     EvalEngineOptions opts_;
     std::vector<std::unique_ptr<Shard>> shards_;

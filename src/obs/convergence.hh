@@ -66,7 +66,7 @@ class ConvergenceTrajectory
  * Time-to-quality summary of one trajectory: how much search effort it
  * took to first come within 1% / 5% of the trajectory's final metric.
  * The sample-efficiency scalar behind the paper's convergence figures,
- * and the quantity the surrogate ranker is meant to shrink.
+ * and the quantity warm starts are meant to shrink.
  */
 struct TimeToQuality
 {

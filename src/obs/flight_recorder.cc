@@ -87,8 +87,10 @@ FlightRecorder::clear()
 FlightRecorder &
 flightRecorder()
 {
-    static FlightRecorder r;
-    return r;
+    // Never destroyed: detached threads (the signal watcher) may still
+    // record while the process runs its static destructors at exit.
+    static FlightRecorder *r = new FlightRecorder;
+    return *r;
 }
 
 // ---------------------------------------------------------------------

@@ -111,8 +111,6 @@ SearchCheckpoint::toJson() const
        << ", \"best_metric\": " << jsonDouble(bestMetric);
     if (found)
         os << ", \"best_mapping\": " << mappingToJson(bestMapping);
-    if (!surrogateState.empty())
-        os << ", \"surrogate\": " << surrogateState;
     os << ", \"stream\": " << streamState << "}";
     return os.str();
 }
@@ -176,13 +174,12 @@ SearchCheckpoint::fromJson(const std::string &text, SearchCheckpoint &out,
             return false;
         }
     }
-    if (const JsonValue *f = root.find("surrogate")) {
-        if (!f->isObject()) {
-            if (err)
-                *err = "surrogate payload is not an object";
-            return false;
-        }
-        out.surrogateState = f->dump();
+    if (root.find("surrogate")) {
+        if (err)
+            *err = "checkpoint carries surrogate-ranker state; the "
+                   "surrogate ranker was removed, so this search cannot "
+                   "be resumed bit-identically (restart it instead)";
+        return false;
     }
     if (const JsonValue *f = root.find("stream")) {
         if (!f->isObject()) {

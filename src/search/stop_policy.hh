@@ -97,9 +97,8 @@ struct StopPolicy
 /**
  * Parses a stop-policy text config: one `key value` (or `key = value`)
  * pair per line, '#' comments. Keys: deadline_ms, deadline_s, max_evals,
- * plateau (alias: victory), max_consecutive_invalid, seed. The legacy
- * key `timeout` is accepted as a deprecated alias for
- * max_consecutive_invalid with a warning (it was never a time).
+ * plateau (alias: victory), max_consecutive_invalid, seed. Any other key,
+ * including Timeloop's `timeout` (which was never a time), is an error.
  *
  * @param seed optional; set to the `seed` key's value when present
  * @param err optional; receives a message naming the offending line

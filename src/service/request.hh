@@ -6,7 +6,7 @@
  * commands used to parse ad hoc: the workload (einsum + dims, a conv
  * preset string, or a workload file), the architecture, the mapper
  * choice, the stop policy (deadline / max-evals / plateau / seed), the
- * fusion mode, and the surrogate/warm-start options. One struct serves
+ * fusion mode, and the warm-start option. One struct serves
  * three callers: the CLI (fills it from argv), `sunstone serve` (parses
  * it from a newline-delimited JSON line), and embedders (construct it
  * directly). Field values are deliberately the same strings the CLI
@@ -97,9 +97,6 @@ struct MappingRequest
     std::string checkpointPath; ///< --checkpoint path (CLI)
     std::string resumePath;     ///< --resume path (CLI)
 
-    bool surrogate = false;
-    std::optional<double> surrogatePrune;
-
     /**
      * Seed this search from the session's warm-start store (and record
      * the realized best back). Off by default: seeding changes search
@@ -139,7 +136,9 @@ struct MappingRequest
 struct MappingResponse
 {
     std::string id;
-    RequestKind kind = RequestKind::Map;
+    /** Unset when the request line could not be parsed into a request
+     *  (rendered as "kind": null). */
+    std::optional<RequestKind> kind = RequestKind::Map;
 
     /** The request was executed (found or not); false = rejected or
      *  failed before any search ran (the error field says why). */

@@ -16,8 +16,11 @@ namespace service {
 
 namespace {
 
-/** One request line in, one response line out. */
-void
+/**
+ * One request line in, one response line out.
+ * @return false when the line was not a request (answered unexecuted)
+ */
+bool
 serveLine(SchedulerSession &session, const std::string &line)
 {
     MappingRequest req;
@@ -26,17 +29,20 @@ serveLine(SchedulerSession &session, const std::string &line)
     if (!parseJson(line, v, &err) ||
         !MappingRequest::fromJson(v, req, &err)) {
         MappingResponse resp;
-        // Echo the id when the line parsed far enough to carry one.
+        // Echo the id when the line parsed far enough to carry one; the
+        // kind stays null, since no request was understood.
         if (const JsonValue *id = v.isObject() ? v.find("id") : nullptr)
             resp.id = id->asString();
+        resp.kind.reset();
         resp.error = "bad request: " + err;
         std::printf("%s\n", resp.toJson().c_str());
         std::fflush(stdout);
-        return;
+        return false;
     }
     const MappingResponse resp = session.execute(req);
     std::printf("%s\n", resp.toJson().c_str());
     std::fflush(stdout);
+    return true;
 }
 
 } // anonymous namespace
@@ -56,6 +62,11 @@ runServe(ServeOptions opts)
                  "JSON request per line\n",
                  session.threads(), opts.session.queueCapacity);
 
+    std::int64_t answered = 0, unparseable = 0;
+    const auto answer = [&](const std::string &line) {
+        ++answered;
+        unparseable += !serveLine(session, line);
+    };
     std::string buffer;
     bool eof = false;
     while (!eof && SignalBridge::instance().signalCount() == 0) {
@@ -91,7 +102,7 @@ runServe(ServeOptions opts)
             const std::string line = buffer.substr(start, nl - start);
             if (line.find_first_not_of(" \t\r") == std::string::npos)
                 continue;
-            serveLine(session, line);
+            answer(line);
             if (SignalBridge::instance().signalCount() > 0)
                 break;
         }
@@ -100,7 +111,7 @@ runServe(ServeOptions opts)
     // EOF with a trailing unterminated line: still a request.
     if (eof && SignalBridge::instance().signalCount() == 0 &&
         buffer.find_first_not_of(" \t\r") != std::string::npos)
-        serveLine(session, buffer);
+        answer(buffer);
 
     const bool signalled = SignalBridge::instance().signalCount() > 0;
     if (!opts.metricsPath.empty()) {
@@ -111,9 +122,16 @@ runServe(ServeOptions opts)
             std::fprintf(stderr, "sunstone serve: cannot write '%s'\n",
                          opts.metricsPath.c_str());
     }
-    std::fprintf(stderr, "sunstone serve: %s; served %lld requests\n",
+    const SessionCounters c = session.counters();
+    std::fprintf(stderr,
+                 "sunstone serve: %s; answered %lld lines: %lld executed "
+                 "(%lld failed), %lld rejected, %lld unparseable\n",
                  signalled ? "signal shutdown" : "stdin closed",
-                 static_cast<long long>(session.counters().executed));
+                 static_cast<long long>(answered),
+                 static_cast<long long>(c.executed),
+                 static_cast<long long>(c.failed),
+                 static_cast<long long>(c.rejected),
+                 static_cast<long long>(unparseable));
     // A signalled shutdown is a clean shutdown: telemetry is flushed
     // above, so the exit status stays 0.
     return 0;

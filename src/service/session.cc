@@ -264,12 +264,6 @@ SchedulerSession::makeContext(const MappingRequest &req,
     if (seed)
         sc.setSeed(*seed);
 
-    SurrogateOptions so;
-    so.enabled = req.surrogate;
-    if (req.surrogatePrune)
-        so.pruneFraction = *req.surrogatePrune;
-    sc.setSurrogate(so);
-
     if (!req.checkpointPath.empty())
         sc.setCheckpointPath(req.checkpointPath);
     if (!req.resumePath.empty()) {
@@ -426,7 +420,7 @@ SchedulerSession::runEval(const MappingRequest &req, MappingResponse &resp)
     if (req.mappingFile.empty())
         SUNSTONE_FATAL("eval needs --mapping <file>");
     Mapping m = loadMappingFile(req.mappingFile, ba);
-    const CostResult cost = engine_->evaluate(ba, m);
+    const CostResult cost = engine_->evaluate(engine_->context(ba), m);
 
     resp.ok = true;
     resp.mapper = "eval";
@@ -534,7 +528,7 @@ SchedulerSession::revalidate(const MappingRequest &req,
         ArchSpec arch = materializeArch(req);
         applyArchPrecisions(req, wl);
         BoundArch ba(arch, wl);
-        engine_->evaluate(ba, resp.result.mapping);
+        engine_->evaluate(engine_->context(ba), resp.result.mapping);
         return;
     }
     if (!resp.net)
@@ -555,7 +549,7 @@ SchedulerSession::revalidate(const MappingRequest &req,
         if (!l.found || l.fused)
             continue;
         BoundArch ba(arch, graph.node(i).workload);
-        engine_->evaluate(ba, l.mapping);
+        engine_->evaluate(engine_->context(ba), l.mapping);
     }
 }
 

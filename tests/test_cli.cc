@@ -256,6 +256,36 @@ TEST(Cli, ServeAnswersNdjsonRequestsAndDedups)
     EXPECT_NE(doc.find("\"deduped\": 1"), std::string::npos) << doc;
 }
 
+TEST(Cli, ServeAnswersBadLinesWithNullKindAndCountsThem)
+{
+    const std::string reqs = ::testing::TempDir() + "/serve_bad.ndjson";
+    {
+        std::ofstream f(reqs);
+        f << "not json\n{\"kind\":\"health\"}\n"
+          << "{\"kind\": \"map\", \"bogus\": 1}\n"
+          << "{\"kind\": \"eval\"}\n";
+    }
+    auto r = runCli("serve < " + reqs);
+    EXPECT_EQ(r.exitCode, 0) << r.output;
+    // No request was understood, so no kind is claimed for the answer.
+    EXPECT_NE(r.output.find("{\"id\": \"\", \"kind\": null, \"ok\": false, "
+                            "\"error\": \"bad request"),
+              std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("\"kind\": \"map\""), std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("\"kind\": \"health\", \"ok\": true"),
+              std::string::npos)
+        << r.output;
+    // The shutdown line counts all four answers: the health scrape and
+    // the eval (which fails: it names no mapping) ran; the other two
+    // lines were not requests.
+    EXPECT_NE(r.output.find("stdin closed; answered 4 lines: 2 executed "
+                            "(1 failed), 0 rejected, 2 unparseable"),
+              std::string::npos)
+        << r.output;
+}
+
 TEST(Cli, ServeShutsDownCleanlyOnSigterm)
 {
     const std::string dir = ::testing::TempDir();

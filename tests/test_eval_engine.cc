@@ -122,8 +122,10 @@ TEST(EvalEngine, DistinctContextsDoNotShareEntries)
     BoundArch baB(makeToyArch(64, 4), wb);
 
     EvalEngine engine;
-    const CostResult ra = engine.evaluate(baA, naiveMapping(baA));
-    const CostResult rb = engine.evaluate(baB, naiveMapping(baB));
+    const CostResult ra =
+        engine.evaluate(engine.context(baA), naiveMapping(baA));
+    const CostResult rb =
+        engine.evaluate(engine.context(baB), naiveMapping(baB));
     ASSERT_TRUE(ra.valid);
     ASSERT_TRUE(rb.valid);
     EXPECT_NE(ra.totalEnergyPj, rb.totalEnergyPj);

@@ -4,6 +4,11 @@
  * evaluation must produce results bit-identical to the plain
  * evaluateMapping() — every per-(level, tensor) access counter and every
  * floating-point output (energies, cycles, latency, EDP, utilization).
+ * The model's validity check must report exactly what Mapping::valid()
+ * reports, and EvalScratch must re-derive its cached invariants when the
+ * bound architecture changes identity, even when the (levels, tensors,
+ * dims) shape is unchanged (bypass variants), while staying correct
+ * across residency mutations of one binding (which share a uid).
  *
  * Trials draw from the diffcheck generators, so the population includes
  * strided convolutions, multicast on/off, partitioned buffers, and
@@ -120,28 +125,36 @@ TEST(EvalEquivalence, BatchMatchesSerial)
 
     std::mt19937_64 rng = diffcheckTrialRng(7);
     std::vector<Mapping> ms;
-    for (int i = 0; i < 64; ++i)
+    for (int i = 0; i < 200; ++i)
         ms.push_back(randomDiffcheckMapping(ba, rng));
 
-    EvalEngine engine(EvalEngineOptions{.threads = 4});
-    const EvalEngine::Context ctx = engine.context(ba);
-    std::vector<CostResult> batch;
-    engine.evaluateBatch(ctx, ms, {}, EvalEngine::CachePolicy::Bypass,
-                         batch);
-    ASSERT_EQ(batch.size(), ms.size());
-    for (std::size_t i = 0; i < ms.size(); ++i)
-        expectIdentical(evaluateMapping(ba, ms[i]), batch[i],
-                        "batch index " + std::to_string(i));
+    // 200 mappings span four 64-mapping chunks, so at 4 threads the
+    // chunks run on different workers.
+    for (unsigned threads : {1u, 4u}) {
+        const std::string tag = std::to_string(threads) + " threads, ";
+        EvalEngine engine(EvalEngineOptions{.threads = threads});
+        const EvalEngine::Context ctx = engine.context(ba);
+        std::vector<CostResult> batch;
+        engine.evaluateBatch(ctx, ms, {}, EvalEngine::CachePolicy::Bypass,
+                             batch);
+        ASSERT_EQ(batch.size(), ms.size());
+        for (std::size_t i = 0; i < ms.size(); ++i)
+            expectIdentical(evaluateMapping(ba, ms[i]), batch[i],
+                            tag + "batch index " + std::to_string(i));
 
-    // The memoizing path must agree too (second call is all cache hits).
-    std::vector<CostResult> cached;
-    engine.evaluateBatch(ctx, ms, {}, EvalEngine::CachePolicy::UseCache,
-                         cached);
-    engine.evaluateBatch(ctx, ms, {}, EvalEngine::CachePolicy::UseCache,
-                         cached);
-    for (std::size_t i = 0; i < ms.size(); ++i)
-        expectIdentical(batch[i], cached[i],
-                        "cached batch index " + std::to_string(i));
+        // The memoizing path must agree too (second call is all cache
+        // hits), and must overwrite the reused result buffers exactly.
+        std::vector<CostResult> cached;
+        engine.evaluateBatch(ctx, ms, {}, EvalEngine::CachePolicy::UseCache,
+                             cached);
+        engine.evaluateBatch(ctx, ms, {}, EvalEngine::CachePolicy::UseCache,
+                             cached);
+        for (std::size_t i = 0; i < ms.size(); ++i)
+            expectIdentical(batch[i], cached[i],
+                            tag + "cached batch index " + std::to_string(i));
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
 }
 
 TEST(EvalEquivalence, EnginePrefixHandleMatchesPlain)
@@ -173,8 +186,8 @@ TEST(EvalEquivalence, EnginePrefixHandleMatchesPlain)
                 }
             const EvalEngine::PrefixHandle ph = engine.prefix(ctx, base, p);
             ASSERT_TRUE(ph.valid());
-            const CostResult got = engine.evaluateWithPrefix(
-                ctx, ph, m, {}, EvalEngine::CachePolicy::Bypass);
+            const CostResult got = engine.evaluate(
+                ctx, m, {}, EvalEngine::CachePolicy::Bypass, ph);
             expectIdentical(evaluateMapping(ba, m), got,
                             "engine prefix trial " + std::to_string(i) +
                                 " P=" + std::to_string(p));
@@ -215,6 +228,130 @@ TEST(EvalEquivalence, StridedConvAndBypassCovered)
     for (int i = 0; i < 25; ++i) {
         const Mapping m = randomDiffcheckMapping(ba, rng);
         checkAllPaths(ba, m, 31337 + i);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+/** The cost model's validity check reuses its own shape tables instead
+ *  of calling Mapping::valid(); both the verdict and the human-readable
+ *  reason an evaluation reports must match the public check's. */
+TEST(EvalEquivalence, CheckValidMatchesMappingValid)
+{
+    constexpr int kTrials = 120;
+    for (int i = 0; i < kTrials; ++i) {
+        std::mt19937_64 rng = diffcheckTrialRng(54000 + i);
+        const Workload wl = randomDiffcheckWorkload(rng);
+        const ArchSpec arch = randomDiffcheckArch(wl, rng);
+        const BoundArch ba(arch, wl);
+        Mapping m = randomDiffcheckMapping(ba, rng);
+
+        // Mutate a share of the trials into each failure class; the
+        // rest stay valid-by-construction.
+        const int nd = m.numDims();
+        const int nl = m.numLevels();
+        switch (i % 6) {
+        case 1: // factor product too large
+            m.level(i % nl).temporal[i % nd] *= 3;
+            break;
+        case 2: // spatial product exceeds the fanout
+            m.level(i % nl).spatial[i % nd] *= 4096;
+            break;
+        case 3: // order is not a permutation
+            if (nd >= 2)
+                m.level(i % nl).order[0] = m.level(i % nl).order[1];
+            break;
+        case 4: // order has the wrong arity
+            m.level(i % nl).order.push_back(0);
+            break;
+        case 5: // tile overflows the innermost capacity
+            m.level(0).temporal[i % nd] *= 64;
+            m.level(nl - 1).temporal[i % nd] *= 64;
+            break;
+        default:
+            break;
+        }
+
+        std::string ref_why;
+        const bool ref_ok = m.valid(ba, &ref_why);
+        const CostResult got = evaluateMapping(ba, m);
+        EXPECT_EQ(ref_ok, got.valid) << "trial " << i;
+        EXPECT_EQ(ref_why, got.invalidReason) << "trial " << i;
+    }
+}
+
+/** One EvalScratch alternating between two bindings with the same
+ *  (levels, tensors, dims) shape but different bypass structure must
+ *  re-derive its invariants on every switch (keyed on BoundArch::uid),
+ *  never serving one binding's storage chains to the other. */
+TEST(EvalEquivalence, ScratchRekeysAcrossSameShapeArchVariants)
+{
+    constexpr int kTrials = 40;
+    EvalScratch shared;
+    for (int i = 0; i < kTrials; ++i) {
+        std::mt19937_64 rng = diffcheckTrialRng(55000 + i);
+        const Workload wl = randomDiffcheckWorkload(rng);
+        // Two independent three-level machines over the SAME workload:
+        // identical (nl, nt, nd), typically different bypass/multicast.
+        const ArchSpec arch_a = randomDiffcheckArch(wl, rng);
+        const ArchSpec arch_b = randomDiffcheckArch(wl, rng);
+        const BoundArch ba_a(arch_a, wl);
+        const BoundArch ba_b(arch_b, wl);
+        ASSERT_NE(ba_a.uid(), ba_b.uid());
+        const Mapping m_a = randomDiffcheckMapping(ba_a, rng);
+        const Mapping m_b = randomDiffcheckMapping(ba_b, rng);
+
+        // Interleave the two bindings through the one shared scratch;
+        // every result must match a fresh-state reference bitwise.
+        for (int round = 0; round < 2; ++round) {
+            CostResult out_a, out_b;
+            evaluateMappingInto(ba_a, m_a, {}, shared, out_a);
+            evaluateMappingInto(ba_b, m_b, {}, shared, out_b);
+            expectIdentical(evaluateMapping(ba_a, m_a), out_a,
+                            "trial " + std::to_string(i) + " arch A round " +
+                                std::to_string(round));
+            expectIdentical(evaluateMapping(ba_b, m_b), out_b,
+                            "trial " + std::to_string(i) + " arch B round " +
+                                std::to_string(round));
+        }
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+/** Residency mutations share the binding's uid (copies are semantically
+ *  identical for everything the scratch caches), so a scratch warmed on
+ *  the boundary variant must still evaluate the ephemeral variant
+ *  correctly — the residency-dependent terms are recomputed per call. */
+TEST(EvalEquivalence, ScratchSurvivesResidencyMutation)
+{
+    ConvShape sh;
+    sh.n = 1;
+    sh.k = 16;
+    sh.c = 16;
+    sh.p = 7;
+    sh.q = 7;
+    sh.r = 3;
+    sh.s = 3;
+    const Workload wl = makeConv2D(sh);
+    const ArchSpec arch = makeConventional();
+    const BoundArch boundary(arch, wl);
+    BoundArch ephemeral = boundary; // shares the uid
+    ASSERT_EQ(boundary.uid(), ephemeral.uid());
+    ASSERT_FALSE(wl.outputs().empty());
+    ephemeral.setResidency(wl.outputs()[0], Residency::Ephemeral);
+
+    std::mt19937_64 rng = diffcheckTrialRng(56001);
+    EvalScratch shared;
+    for (int i = 0; i < 8; ++i) {
+        const Mapping m = randomDiffcheckMapping(boundary, rng);
+        CostResult out_b, out_e;
+        evaluateMappingInto(boundary, m, {}, shared, out_b);
+        evaluateMappingInto(ephemeral, m, {}, shared, out_e);
+        expectIdentical(evaluateMapping(boundary, m), out_b,
+                        "boundary " + std::to_string(i));
+        expectIdentical(evaluateMapping(ephemeral, m), out_e,
+                        "ephemeral " + std::to_string(i));
         if (::testing::Test::HasFatalFailure())
             return;
     }

@@ -362,16 +362,6 @@ TEST(LogLevels, ThresholdGatesEachSeverity)
     setLogLevel(LogLevel::Info);
 }
 
-TEST(LogLevels, SetQuietShimMapsToLevels)
-{
-    setQuiet(true);
-    EXPECT_TRUE(quiet());
-    EXPECT_EQ(logLevel(), LogLevel::Silent);
-    setQuiet(false);
-    EXPECT_FALSE(quiet());
-    EXPECT_EQ(logLevel(), LogLevel::Info);
-}
-
 // ---------------------------------------------------------------------
 // Histogram percentiles (live-telemetry satellite)
 // ---------------------------------------------------------------------

@@ -136,15 +136,16 @@ TEST(StopPolicy, AcceptsCommentsEqualsAndVictoryAlias)
     EXPECT_DOUBLE_EQ(p.deadlineSeconds, 2.0);
 }
 
-TEST(StopPolicy, DeprecatedTimeoutAliasIsAnInvalidStreakBound)
+TEST(StopPolicy, TimeoutKeyIsRejected)
 {
-    // Timeloop's `timeout` knob was never a time: it counts consecutive
-    // invalid samples. The alias must land on maxConsecutiveInvalid and
-    // must not touch the deadline.
+    // Timeloop's `timeout` knob was never a time: it counted consecutive
+    // invalid samples. The spelling is max_consecutive_invalid, and the
+    // old key is an unknown-key error rather than a silent alias.
     StopPolicy p;
-    ASSERT_TRUE(parseStopPolicyText("timeout 1234\n", p));
-    EXPECT_EQ(p.maxConsecutiveInvalid, 1234);
-    EXPECT_DOUBLE_EQ(p.deadlineSeconds, 0.0);
+    std::string err;
+    EXPECT_FALSE(parseStopPolicyText("timeout 1234\n", p, nullptr, &err));
+    EXPECT_NE(err.find("unknown key 'timeout'"), std::string::npos) << err;
+    EXPECT_EQ(p.maxConsecutiveInvalid, 0);
 }
 
 TEST(StopPolicy, RejectsMalformedInputWithLineNumbers)
@@ -339,6 +340,23 @@ TEST(SearchCheckpoint, RejectsOtherVersions)
     std::string err;
     EXPECT_FALSE(SearchCheckpoint::fromJson(ck.toJson(), rt, &err));
     EXPECT_NE(err.find("version"), std::string::npos) << err;
+}
+
+TEST(SearchCheckpoint, RefusesSurrogateRankerState)
+{
+    // Checkpoints written with the (removed) surrogate ranker on carry a
+    // "surrogate" object; resuming one without that state would silently
+    // diverge, so the loader refuses it.
+    SearchCheckpoint ck;
+    ck.search = "timeloop";
+    std::string text = ck.toJson();
+    const std::size_t at = text.find(", \"stream\"");
+    ASSERT_NE(at, std::string::npos);
+    text.insert(at, ", \"surrogate\": {\"observed\": 10}");
+    SearchCheckpoint rt;
+    std::string err;
+    EXPECT_FALSE(SearchCheckpoint::fromJson(text, rt, &err));
+    EXPECT_NE(err.find("surrogate"), std::string::npos) << err;
 }
 
 TEST(SearchCheckpoint, SaveAndLoadThroughAFile)

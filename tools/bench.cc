@@ -3,19 +3,15 @@
  * Implementation of `sunstone bench`: a seeded micro/macro benchmark of
  * the evaluation engine and the Sunstone search.
  *
- * Five benchmarks run, each `--warmup` throwaway + `--repeat` timed
+ * Four benchmarks run, each `--warmup` throwaway + `--repeat` timed
  * iterations (best-of wins, mean reported alongside):
  *
- *  - eval_random     SoA batch-evaluator throughput over a fixed set of
- *                    seeded diffcheck triples (single thread, no engine,
- *                    no memo cache): per triple, a pre-built
- *                    BatchEvaluator evaluates a seeded batch of random
- *                    mappings into persistent result buffers — the
- *                    steady-state fast path of the model.
- *  - eval_scalar     the historical spec: one evaluateMapping() call
- *                    (fresh CostResult, thread scratch) per evaluation.
- *                    Kept so the trajectory of the scalar path stays
- *                    comparable across optimization PRs.
+ *  - eval_random     cost-model throughput over a fixed set of seeded
+ *                    diffcheck triples (single thread, no engine, no
+ *                    memo cache): per triple, evaluateMappingInto()
+ *                    runs a seeded batch of random mappings through the
+ *                    triple's own scratch arena into persistent result
+ *                    buffers — the steady-state fast path of the model.
  *  - batch_conv      EvalEngine::evaluateBatch() over random valid
  *                    mappings of one conv layer (cache bypassed) — the
  *                    batched fast path across the shared pool.
@@ -23,15 +19,15 @@
  *                    end-to-end sunstoneOptimize() on a ResNet-style
  *                    conv layer; evals/sec is the engine's evaluation
  *                    counter delta over the search wall-clock.
- *  - search_ttq      time-to-quality of the surrogate ranker (DESIGN.md
- *                    §15): per workload (a large conv layer and a large
- *                    matmul) one seeded timeloop search with --surrogate
- *                    off, one with it on, and one warm-started repeat
- *                    from an in-memory WarmStartStore. Records each
- *                    run's evaluations-to-within-1%-of-the-baseline-best
- *                    and the resulting eval reductions into a separate
+ *  - search_ttq      time-to-quality of warm starts (DESIGN.md §15): per
+ *                    workload (a large conv layer and a large matmul)
+ *                    one seeded cold timeloop search and one
+ *                    warm-started repeat from an in-memory
+ *                    WarmStartStore. Records each run's
+ *                    evaluations-to-within-1%-of-the-cold-best and the
+ *                    warm repeat's eval reduction into a separate
  *                    --search-out file (default BENCH_search.json,
- *                    schema "sunstone-search-ttq-v1", full convergence
+ *                    schema "sunstone-search-ttq-v2", full convergence
  *                    trajectories included). Runs once — it measures
  *                    evaluation counts, which are seed-deterministic,
  *                    not wall time.
@@ -68,7 +64,6 @@
 #include "common/timer.hh"
 #include "core/sunstone.hh"
 #include "mappers/timeloop_mapper.hh"
-#include "model/batch_eval.hh"
 #include "model/diffcheck.hh"
 #include "model/eval_engine.hh"
 #include "obs/convergence.hh"
@@ -177,9 +172,10 @@ makeTriples(std::uint64_t seed, int n)
 }
 
 /**
- * Raw batch-evaluator throughput, no engine, single thread: per triple a
- * pre-built BatchEvaluator runs a seeded batch of random mappings into
- * persistent results — nothing allocates inside the timed region.
+ * Raw cost-model throughput, no engine, single thread: per triple a
+ * seeded batch of random mappings runs through the triple's own scratch
+ * arena into persistent results — nothing allocates inside the timed
+ * region.
  */
 BenchResult
 benchEvalRandom(const BenchConfig &cfg)
@@ -190,8 +186,7 @@ benchEvalRandom(const BenchConfig &cfg)
 
     std::vector<std::vector<Mapping>> batches(kTriples);
     std::vector<std::vector<CostResult>> out(kTriples);
-    std::vector<BatchEvaluator> evals;
-    evals.reserve(kTriples);
+    std::vector<EvalScratch> scratch(kTriples);
     for (int i = 0; i < kTriples; ++i) {
         // A fresh stream, offset past the triple seeds so mapping draws
         // never replay a triple's construction stream.
@@ -201,7 +196,6 @@ benchEvalRandom(const BenchConfig &cfg)
             batches[i].push_back(
                 randomDiffcheckMapping(triples[i].ba, rng));
         out[i].resize(kMappings);
-        evals.emplace_back(triples[i].ba, CostModelOptions{});
     }
 
     BenchResult r;
@@ -210,7 +204,9 @@ benchEvalRandom(const BenchConfig &cfg)
     r.evalsPerIter = static_cast<std::int64_t>(kTriples) * kMappings;
     auto secs = timeIters(cfg, [&] {
         for (int i = 0; i < kTriples; ++i)
-            evals[i].evaluate(batches[i], out[i].data());
+            for (int j = 0; j < kMappings; ++j)
+                evaluateMappingInto(triples[i].ba, batches[i][j], {},
+                                    scratch[i], out[i][j]);
     });
     finalize(r, secs);
 
@@ -220,39 +216,6 @@ benchEvalRandom(const BenchConfig &cfg)
     for (int i = 0; i < kTriples; ++i)
         for (int j = 0; j < kMappings; ++j)
             checksum += out[i][j].valid ? out[i][j].totalEnergyPj : 0.0;
-    r.extra["checksum"] = checksum;
-    r.extra["simd_active"] = BatchEvaluator::simdActive() ? 1 : 0;
-    return r;
-}
-
-/** The historical per-call scalar spec (fresh CostResult per eval). */
-BenchResult
-benchEvalScalar(const BenchConfig &cfg)
-{
-    constexpr int kTriples = 256;
-    constexpr int kPasses = 20;
-    auto triples = makeTriples(cfg.seed, kTriples);
-    BenchResult r;
-    r.name = "eval_scalar";
-    r.kind = "eval";
-    r.evalsPerIter = static_cast<std::int64_t>(kTriples) * kPasses;
-    auto secs = timeIters(cfg, [&] {
-        for (int p = 0; p < kPasses; ++p)
-            for (const auto &t : triples) {
-                CostResult cr = evaluateMapping(t.ba, t.m);
-                // The result feeds the post-run checksum only; keep the
-                // call from being optimized out.
-                if (cr.cycles < 0)
-                    std::abort();
-            }
-    });
-    finalize(r, secs);
-
-    double checksum = 0;
-    for (const auto &t : triples) {
-        const CostResult cr = evaluateMapping(t.ba, t.m);
-        checksum += cr.valid ? cr.totalEnergyPj : 0.0;
-    }
     r.extra["checksum"] = checksum;
     return r;
 }
@@ -347,16 +310,16 @@ benchSearch(const BenchConfig &cfg, const std::string &archName)
     return r;
 }
 
-// -- search_ttq: surrogate / warm-start time-to-quality ---------------
+// -- search_ttq: warm-start time-to-quality ----------------------------
 
 /** One seeded timeloop search leg of the search_ttq benchmark. */
 struct TtqRun
 {
-    std::string label; // "off" | "on" | "warm"
+    std::string label; // "cold" | "warm"
     double finalMetric = 0;
     std::int64_t evaluations = 0; // full-model evals consumed
     double seconds = 0;
-    /** Evals until within 1% of the baseline (off) best; -1 = never. */
+    /** Evals until within 1% of the cold run's best; -1 = never. */
     std::int64_t evalsToBand = -1;
     std::vector<obs::ConvergencePoint> points;
 };
@@ -373,7 +336,7 @@ evalsToBand(const std::vector<obs::ConvergencePoint> &pts, double target)
 
 TtqRun
 runTtqLeg(const BenchConfig &cfg, const BoundArch &ba, const char *label,
-          bool surrogateOn, const std::vector<Mapping> &seeds,
+          const std::vector<Mapping> &seeds,
           MapperResult *mrOut = nullptr)
 {
     TtqRun run;
@@ -388,9 +351,6 @@ runTtqLeg(const BenchConfig &cfg, const BoundArch &ba, const char *label,
         policy.plateau = policy.maxEvals;
     SearchContext sc(&engine, policy, &rec);
     sc.setSeed(cfg.seed);
-    SurrogateOptions so;
-    so.enabled = surrogateOn;
-    sc.setSurrogate(so);
     if (!seeds.empty())
         sc.setWarmStarts(seeds);
 
@@ -415,14 +375,12 @@ runTtqLeg(const BenchConfig &cfg, const BoundArch &ba, const char *label,
     return run;
 }
 
-/** One search_ttq workload: baseline, surrogate-on, warm repeat. */
+/** One search_ttq workload: a cold run and its warm repeat. */
 struct TtqWorkload
 {
     std::string name;
     std::vector<TtqRun> runs;
-    double evalReduction = 0; // surrogate-on vs baseline, to 1% band
-    double warmReduction = 0; // warm repeat vs baseline, to 1% band
-    bool onWithin1pct = false;
+    double warmReduction = 0; // warm repeat vs cold, to 1% band
 };
 
 TtqWorkload
@@ -436,10 +394,9 @@ benchTtqWorkload(const BenchConfig &cfg, const std::string &name,
     w.name = name;
 
     MapperResult coldBest;
-    TtqRun off = runTtqLeg(cfg, ba, "off", false, {}, &coldBest);
-    TtqRun on = runTtqLeg(cfg, ba, "on", true, {});
+    TtqRun cold = runTtqLeg(cfg, ba, "cold", {}, &coldBest);
 
-    // Warm repeat: the baseline's best seeds a fresh run of the same
+    // Warm repeat: the cold run's best seeds a fresh run of the same
     // layer through the store's query/adapt path (exactly what
     // --warmstart-store does on a repeated shape).
     WarmStartStore store;
@@ -448,31 +405,25 @@ benchTtqWorkload(const BenchConfig &cfg, const std::string &name,
         store.record(ba, name, coldBest.cost.edp, coldBest.mapping);
         seeds = store.query(ba);
     }
-    TtqRun warm = runTtqLeg(cfg, ba, "warm", false, seeds);
+    TtqRun warm = runTtqLeg(cfg, ba, "warm", seeds);
 
-    // Target quality is the baseline's final best. The baseline's own
-    // entry is the evaluation count at which it locked that best in
-    // (its last improvement) — the full price of producing the target —
-    // while the on/warm entries are their first step into the 1% band
-    // around it: "reaches within 1% of the baseline best with N% fewer
-    // evaluations than the baseline spent finding it".
-    const double target = off.finalMetric;
-    for (const obs::ConvergencePoint &p : off.points)
+    // Target quality is the cold run's final best. The cold entry is
+    // the evaluation count at which it locked that best in (its last
+    // improvement) — the full price of producing the target — while the
+    // warm entry is its first step into the 1% band around it: "reaches
+    // within 1% of the cold best with N% fewer evaluations than the
+    // cold run spent finding it".
+    const double target = cold.finalMetric;
+    for (const obs::ConvergencePoint &p : cold.points)
         if (p.metric <= target) {
-            off.evalsToBand = p.evaluations;
+            cold.evalsToBand = p.evaluations;
             break;
         }
-    on.evalsToBand = evalsToBand(on.points, target);
     warm.evalsToBand = evalsToBand(warm.points, target);
-    if (off.evalsToBand > 0 && on.evalsToBand > 0)
-        w.evalReduction = 1.0 - static_cast<double>(on.evalsToBand) /
-                                    static_cast<double>(off.evalsToBand);
-    if (off.evalsToBand > 0 && warm.evalsToBand > 0)
+    if (cold.evalsToBand > 0 && warm.evalsToBand > 0)
         w.warmReduction = 1.0 - static_cast<double>(warm.evalsToBand) /
-                                    static_cast<double>(off.evalsToBand);
-    w.onWithin1pct = on.finalMetric > 0 && target > 0 &&
-                     on.finalMetric <= target * 1.01;
-    w.runs = {std::move(off), std::move(on), std::move(warm)};
+                                    static_cast<double>(cold.evalsToBand);
+    w.runs = {std::move(cold), std::move(warm)};
     return w;
 }
 
@@ -481,7 +432,7 @@ ttqToJson(const BenchConfig &cfg, const std::vector<TtqWorkload> &wls)
 {
     std::ostringstream os;
     os.precision(17);
-    os << "{\"schema\": \"sunstone-search-ttq-v1\""
+    os << "{\"schema\": \"sunstone-search-ttq-v2\""
        << ", \"seed\": " << cfg.seed << ", \"threads\": " << cfg.threads
        << ", \"workloads\": [";
     for (std::size_t i = 0; i < wls.size(); ++i) {
@@ -490,10 +441,8 @@ ttqToJson(const BenchConfig &cfg, const std::vector<TtqWorkload> &wls)
             os << ", ";
         os << "{\"name\": \"" << w.name << "\""
            << ", \"baseline_best\": " << w.runs[0].finalMetric
-           << ", \"eval_reduction\": " << w.evalReduction
            << ", \"warm_reduction\": " << w.warmReduction
-           << ", \"on_within_1pct\": "
-           << (w.onWithin1pct ? "true" : "false") << ", \"runs\": [";
+           << ", \"runs\": [";
         for (std::size_t j = 0; j < w.runs.size(); ++j) {
             const TtqRun &r = w.runs[j];
             if (j)
@@ -553,19 +502,13 @@ benchSearchTtq(const BenchConfig &cfg, std::vector<BenchResult> &results)
         r.name = "search_ttq_" + name;
         r.kind = "search";
         r.evalsPerIter = w.runs[0].evaluations;
-        finalize(r, {w.runs[0].seconds + w.runs[1].seconds +
-                     w.runs[2].seconds});
-        r.extra["final_off"] = w.runs[0].finalMetric;
-        r.extra["final_on"] = w.runs[1].finalMetric;
-        r.extra["evals_to_band_off"] =
+        finalize(r, {w.runs[0].seconds + w.runs[1].seconds});
+        r.extra["final_cold"] = w.runs[0].finalMetric;
+        r.extra["evals_to_band_cold"] =
             static_cast<double>(w.runs[0].evalsToBand);
-        r.extra["evals_to_band_on"] =
-            static_cast<double>(w.runs[1].evalsToBand);
         r.extra["evals_to_band_warm"] =
-            static_cast<double>(w.runs[2].evalsToBand);
-        r.extra["eval_reduction"] = w.evalReduction;
+            static_cast<double>(w.runs[1].evalsToBand);
         r.extra["warm_reduction"] = w.warmReduction;
-        r.extra["on_within_1pct"] = w.onWithin1pct ? 1 : 0;
         results.push_back(std::move(r));
         done.push_back(std::move(w));
     }
@@ -588,10 +531,7 @@ toJson(const BenchConfig &cfg, const std::vector<BenchResult> &results)
     os << "{\"schema\": \"sunstone-bench-v1\""
        << ", \"seed\": " << cfg.seed << ", \"repeat\": " << cfg.repeat
        << ", \"warmup\": " << cfg.warmup
-       << ", \"threads\": " << cfg.threads << ", \"simd_backend\": \""
-       << BatchEvaluator::backendName() << "\", \"simd_active\": "
-       << (BatchEvaluator::simdActive() ? "true" : "false")
-       << ", \"benchmarks\": [";
+       << ", \"threads\": " << cfg.threads << ", \"benchmarks\": [";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const BenchResult &r = results[i];
         if (i)
@@ -716,8 +656,6 @@ run(const std::map<std::string, std::string> &kv)
     std::vector<BenchResult> results;
     if (wanted("eval_random"))
         results.push_back(benchEvalRandom(cfg));
-    if (wanted("eval_scalar"))
-        results.push_back(benchEvalScalar(cfg));
     if (wanted("batch_conv"))
         results.push_back(benchBatchConv(cfg));
     if (wanted("search_conventional"))

@@ -21,7 +21,7 @@
  * the snapshot time series (records, eval-rate trend, final search
  * states), convergence trajectories with time-to-quality (evals and
  * seconds to within 1%/5% of each trajectory's final metric), the
- * surrogate/warm-start counters from the metrics registry, bench timing
+ * warm-start counters from the metrics registry, bench timing
  * tables (iterations whose coefficient of variation exceeds 15% are
  * flagged as noisy), span totals, and the flight-event tail. Sections
  * whose artifact was not supplied are skipped, so the command composes
@@ -398,8 +398,8 @@ printConvergence(const JsonValue &doc)
 /**
  * Time-to-quality per trajectory (DESIGN.md §15): the evaluation count
  * and wall-clock at which the incumbent first came within 1% and 5% of
- * the trajectory's final metric — the number the surrogate ranker is
- * meant to shrink.
+ * the trajectory's final metric — the number warm starts are meant to
+ * shrink.
  */
 void
 printTimeToQuality(const JsonValue &doc)
@@ -437,23 +437,22 @@ printTimeToQuality(const JsonValue &doc)
 }
 
 /**
- * Surrogate ranker and warm-start counters from the flat metrics
- * registry ("search.<mapper>.surrogate.*" / ".warmstart.*" keys).
+ * Warm-start counters from the flat metrics registry
+ * ("search.<mapper>.warmstart.*" keys).
  */
 void
-printSurrogate(const JsonValue &metricsDoc)
+printWarmStart(const JsonValue &metricsDoc)
 {
     const JsonValue *reg = metricsDoc.find("registry");
     if (!reg || !reg->isObject())
         return;
     std::vector<std::pair<std::string, double>> rows;
     for (const auto &[name, v] : reg->fields)
-        if (name.find(".surrogate.") != std::string::npos ||
-            name.find(".warmstart.") != std::string::npos)
+        if (name.find(".warmstart.") != std::string::npos)
             rows.emplace_back(name, v.asDouble());
     if (rows.empty())
         return;
-    section("surrogate / warm start");
+    section("warm start");
     std::sort(rows.begin(), rows.end());
     for (const auto &[name, v] : rows)
         std::printf("  %-40s %.6g\n", name.c_str(), v);
@@ -466,7 +465,7 @@ constexpr double kNoisyCv = 0.15;
  * A `sunstone bench` artifact. Sniffs the schema: the timing document
  * (BENCH_eval.json) prints best/median/CV per benchmark and flags noisy
  * iteration sets; the search time-to-quality document
- * (BENCH_search.json) prints per-workload eval reductions.
+ * (BENCH_search.json) prints per-workload warm-start eval reductions.
  */
 void
 printBench(const JsonValue &doc)
@@ -505,24 +504,20 @@ printBench(const JsonValue &doc)
     if (!wls || !wls->isArray())
         return;
     section("search time to quality (bench)");
-    std::printf("  %-24s %12s %12s %12s %s\n", "workload", "base best",
-                "surr. cut", "warm cut", "within 1%");
+    std::printf("  %-24s %12s %12s\n", "workload", "cold best",
+                "warm cut");
     for (const JsonValue &w : wls->items) {
         const auto pct = [&](const char *key) {
             const JsonValue *v = w.find(key);
             return v ? 100.0 * v->asDouble() : 0.0;
         };
-        std::printf("  %-24s %12.6g %11.1f%% %11.1f%% %s\n",
+        std::printf("  %-24s %12.6g %11.1f%%\n",
                     w.find("name") ? w.find("name")->asString().c_str()
                                    : "?",
                     w.find("baseline_best")
                         ? w.find("baseline_best")->asDouble()
                         : 0,
-                    pct("eval_reduction"), pct("warm_reduction"),
-                    w.find("on_within_1pct") &&
-                            w.find("on_within_1pct")->asBool()
-                        ? "yes"
-                        : "NO");
+                    pct("warm_reduction"));
     }
 }
 
@@ -677,9 +672,9 @@ run(const std::map<std::string, std::string> &kv)
         printTimeToQuality(conv);
     }
     if (haveMetrics)
-        printSurrogate(metricsDoc);
+        printWarmStart(metricsDoc);
     else if (!diagDir.empty())
-        printSurrogate(diagMetrics);
+        printWarmStart(diagMetrics);
     if (!benchPath.empty()) {
         JsonValue benchDoc;
         if (!loadJson(benchPath, benchDoc))

@@ -27,9 +27,8 @@
  *   --max-evals N      total candidate evaluations
  *   --plateau N        stop after N consecutive non-improving evals
  *   --seed S           RNG seed (results are identical at any --threads)
- *   --stop-policy F    text config (deadline_ms/max_evals/plateau/seed;
- *                      the deprecated Timeloop key `timeout` still parses
- *                      as max_consecutive_invalid, with a warning)
+ *   --stop-policy F    text config (deadline_ms/max_evals/plateau/
+ *                      max_consecutive_invalid/seed)
  *   --checkpoint F     periodically snapshot resumable search state
  *   --resume F         continue from a snapshot written by --checkpoint
  * SIGINT/SIGTERM raise the cooperative cancellation flag (see
@@ -37,15 +36,7 @@
  * at the next batch boundary, writes a final checkpoint, and the
  * best-so-far result is reported with stop reason "cancelled".
  *
- * Surrogate ranking + warm starting (both map modes; DESIGN.md §15):
- *   --surrogate on|off    online linear ranker over cheap mapping
- *                         features reorders each candidate batch
- *                         best-first and, once its streaming rank
- *                         correlation clears a confidence gate, prunes
- *                         the predicted-worst tail (default off; `off`
- *                         is bit-identical to builds without the flag)
- *   --surrogate-prune F   fraction of each batch pruned once the gate
- *                         opens (default 0.5, clamped to [0, 0.95])
+ * Warm starting (both map modes; DESIGN.md §15):
  *   --warmstart-store F   persistent best-mapping store; searches are
  *                         seeded from stored bests of structurally
  *                         similar layers and realized bests are
@@ -299,24 +290,6 @@ requestFromArgs(const Args &a)
     req.checkpointPath = a.get("checkpoint");
     req.resumePath = a.get("resume");
 
-    if (a.has("surrogate")) {
-        const std::string s = a.get("surrogate");
-        if (s == "on")
-            req.surrogate = true;
-        else if (s != "off")
-            SUNSTONE_FATAL("--surrogate expects 'on' or 'off', got '", s,
-                           "'");
-    }
-    if (a.has("surrogate-prune")) {
-        if (!req.surrogate)
-            SUNSTONE_FATAL("--surrogate-prune requires --surrogate on");
-        const double f = finiteArg(a, "surrogate-prune");
-        if (f < 0 || f > 0.95)
-            SUNSTONE_FATAL("--surrogate-prune must be in [0, 0.95], "
-                           "got '",
-                           a.get("surrogate-prune"), "'");
-        req.surrogatePrune = f;
-    }
     // --warmstart-store both names the session's store (below) and opts
     // the request into seeding, exactly the old coupled behavior.
     req.warmStart = a.has("warmstart-store");
