@@ -40,6 +40,26 @@ struct Partial
 };
 
 /**
+ * One step candidate that survived its entry's alpha-beta check: its
+ * score, its stratified-beam bucket and where to find what rebuilds it.
+ * Only the few survivors the trim keeps become Partials.
+ */
+struct Survivor
+{
+    double score;
+    /** Stratified bucket: (hash of the ordering's reuse suffix, log2 of
+     *  the total spatial product). */
+    std::pair<std::uint64_t, int> bucket;
+    /** The beam entry whose collector holds the rest (set by the
+     *  merge). The candidate's ordering is orderings[list][ordering]
+     *  there and, bottom-up, its absorbed base is bases[list]. */
+    std::uint32_t entry, list, ordering;
+    /** Offset of the candidate's tile, then its unrolling, in
+     *  Collector::factors. */
+    std::size_t factors;
+};
+
+/**
  * Per-beam-entry expansion sink. Each entry expands into its own
  * collector whose alpha-beta incumbent is seeded from the step-start
  * global incumbent, so an entry's pruning decisions depend only on its
@@ -49,7 +69,15 @@ struct Partial
  */
 struct Collector
 {
-    std::vector<Partial> out;
+    /** Bottom-up: the absorbed base each ordering list extends (list j
+     *  extends bases[j]). Top-down every list extends the entry itself. */
+    std::vector<Partial> bases;
+    /** The ordering lists survivors came from; a list is appended only
+     *  once its expansion has left a survivor. */
+    std::vector<std::vector<OrderingCandidate>> orderings;
+    std::vector<Survivor> out;
+    /** Flat tile and unrolling factors, 2 * nDims per survivor. */
+    std::vector<std::int64_t> factors;
     double inc = kInf;
 };
 
@@ -490,16 +518,21 @@ class Driver
 
     /**
      * Scores a finished step candidate, held in place in `m` and
-     * `remaining`, into its entry's collector. The owned Partial is
-     * built only when the candidate survives the alpha-beta check.
+     * `remaining`, into its entry's collector. A survivor of the
+     * alpha-beta check is recorded with its factors; the ordering list
+     * under expansion is the one the collector appends next.
      *
-     * @param order the full loop order of the candidate's ordering
+     * @param ordering the index of `ord` in its list
+     * @param order the full loop order of `ord`
+     * @param tile, unroll the step's factors, nDims each
      */
     void
     emit(Collector &col, Mapping &m,
          const std::vector<std::int64_t> &remaining,
-         const OrderingCandidate &ord, const std::vector<DimId> &order,
-         bool bottom_up, const EvalEngine::PrefixHandle &ph)
+         const OrderingCandidate &ord, std::size_t ordering,
+         const std::vector<DimId> &order, const std::int64_t *tile,
+         const std::int64_t *unroll, bool bottom_up,
+         const EvalEngine::PrefixHandle &ph)
     {
         if (drv_->shouldStop())
             return;
@@ -515,12 +548,60 @@ class Driver
                 return;
             }
         }
-        Partial p;
-        p.m = m;
-        p.remaining = remaining;
+        const std::int64_t sp = std::max<std::int64_t>(1, m.totalSpatial());
+        int log_sp = 0;
+        while ((std::int64_t(1) << (log_sp + 1)) <= sp)
+            ++log_sp;
+        std::uint64_t suffix_key = 1;
+        for (DimId d : ord.suffix)
+            suffix_key = suffix_key * 131 + std::uint64_t(d + 1);
+        col.out.push_back(
+            {score, {suffix_key, log_sp}, 0,
+             static_cast<std::uint32_t>(col.orderings.size()),
+             static_cast<std::uint32_t>(ordering), col.factors.size()});
+        col.factors.insert(col.factors.end(), tile, tile + nDims);
+        col.factors.insert(col.factors.end(), unroll, unroll + nDims);
+    }
+
+    /**
+     * Builds the Partial a survivor stands for, exactly as its step
+     * built the candidate in place: bottom-up, the absorbed base with
+     * level k's tile and level k+1's unrolling and order; top-down, the
+     * entry with level k overwritten.
+     */
+    Partial
+    buildSurvivor(const Survivor &r, const Collector &col,
+                  const Partial &entry, int k, bool bottom_up) const
+    {
+        const OrderingCandidate &ord = col.orderings[r.list][r.ordering];
+        const std::int64_t *tile = col.factors.data() + r.factors;
+        const std::int64_t *unroll = tile + nDims;
+        Partial p = bottom_up ? col.bases[r.list] : entry;
+        auto &lm = p.m.level(k);
+        if (bottom_up) {
+            for (DimId d = 0; d < nDims; ++d) {
+                lm.temporal[d] = satMul(lm.temporal[d], tile[d]);
+                p.remaining[d] /= tile[d];
+            }
+            if (k + 1 < nLevels) {
+                auto &up = p.m.level(k + 1);
+                for (DimId d = 0; d < nDims; ++d) {
+                    up.spatial[d] = unroll[d];
+                    p.remaining[d] /= unroll[d];
+                }
+                up.order = ord.fullOrder(nDims);
+            }
+        } else {
+            for (DimId d = 0; d < nDims; ++d) {
+                lm.temporal[d] = tile[d];
+                lm.spatial[d] = unroll[d];
+                p.remaining[d] = p.remaining[d] / tile[d] / unroll[d];
+            }
+            lm.order = ord.fullOrder(nDims);
+        }
         p.pendingSuffix = ord.suffix;
-        p.score = score;
-        col.out.push_back(std::move(p));
+        p.score = r.score;
+        return p;
     }
 
     /** Expands every beam entry at step k, then trims to the beam. */
@@ -541,65 +622,58 @@ class Driver
             else
                 expandTopDown(beam[i], k, cols[i]);
         });
-        std::vector<Partial> out;
-        for (auto &c : cols) {
-            for (auto &p : c.out) {
+        std::size_t total = 0;
+        for (const auto &c : cols)
+            total += c.out.size();
+        std::vector<Survivor> out;
+        out.reserve(total);
+        for (std::size_t i = 0; i < cols.size(); ++i) {
+            for (Survivor r : cols[i].out) {
                 if (opts.alphaBeta) {
-                    if (p.score < incumbent_)
-                        incumbent_ = p.score;
-                    if (p.score > incumbent_ * opts.alphaSlack) {
+                    if (r.score < incumbent_)
+                        incumbent_ = r.score;
+                    if (r.score > incumbent_ * opts.alphaSlack) {
                         engine.notePrune();
                         continue;
                     }
                 }
-                out.push_back(std::move(p));
+                r.entry = static_cast<std::uint32_t>(i);
+                out.push_back(r);
             }
         }
         std::stable_sort(out.begin(), out.end(),
-                         [](const Partial &a, const Partial &b) {
+                         [](const Survivor &a, const Survivor &b) {
                              return a.score < b.score;
                          });
-        if ((int)out.size() <= opts.beamWidth)
-            return out;
+        const auto build = [&](const Survivor &r) {
+            return buildSurvivor(r, cols[r.entry], beam[r.entry], k,
+                                 bottom_up);
+        };
+        std::vector<Partial> kept;
+        if ((int)out.size() <= opts.beamWidth) {
+            kept.reserve(out.size());
+            for (const Survivor &r : out)
+                kept.push_back(build(r));
+            return kept;
+        }
 
         // Stratified beam: candidates are bucketed by (chosen ordering
         // suffix, log2 of the spatial product) and drained round-robin,
         // best first. An energy-only score would otherwise evict every
         // high-utilization candidate before its latency advantage
         // becomes visible, and would collapse the ordering diversity the
-        // next level's decisions depend on. Each survivor's bucket key
-        // is computed once; a stable sort by key lays every bucket out
-        // contiguously, still best first.
-        struct Slot
-        {
-            std::pair<std::uint64_t, int> bucket;
-            std::size_t index;
-        };
-        std::vector<Slot> slots;
-        slots.reserve(out.size());
-        for (std::size_t i = 0; i < out.size(); ++i) {
-            const Partial &p = out[i];
-            const std::int64_t sp =
-                std::max<std::int64_t>(1, p.m.totalSpatial());
-            int log_sp = 0;
-            while ((std::int64_t(1) << (log_sp + 1)) <= sp)
-                ++log_sp;
-            std::uint64_t suffix_key = 1;
-            for (DimId d : p.pendingSuffix)
-                suffix_key = suffix_key * 131 + std::uint64_t(d + 1);
-            slots.push_back({{suffix_key, log_sp}, i});
-        }
-        std::stable_sort(slots.begin(), slots.end(),
-                         [](const Slot &a, const Slot &b) {
+        // next level's decisions depend on. A stable sort by bucket lays
+        // every bucket out contiguously, still best first.
+        std::stable_sort(out.begin(), out.end(),
+                         [](const Survivor &a, const Survivor &b) {
                              return a.bucket < b.bucket;
                          });
-        // Bucket b spans slots[starts[b], starts[b + 1]).
+        // Bucket b spans out[starts[b], starts[b + 1]).
         std::vector<std::size_t> starts;
-        for (std::size_t i = 0; i < slots.size(); ++i)
-            if (i == 0 || slots[i].bucket != slots[i - 1].bucket)
+        for (std::size_t i = 0; i < out.size(); ++i)
+            if (i == 0 || out[i].bucket != out[i - 1].bucket)
                 starts.push_back(i);
-        starts.push_back(slots.size());
-        std::vector<Partial> kept;
+        starts.push_back(out.size());
         kept.reserve(opts.beamWidth);
         for (std::size_t round = 0; (int)kept.size() < opts.beamWidth;
              ++round) {
@@ -607,8 +681,7 @@ class Driver
             for (std::size_t b = 0; b + 1 < starts.size(); ++b) {
                 if (starts[b] + round >= starts[b + 1])
                     continue;
-                kept.push_back(
-                    std::move(out[slots[starts[b] + round].index]));
+                kept.push_back(build(out[starts[b] + round]));
                 any = true;
                 if ((int)kept.size() >= opts.beamWidth)
                     break;
@@ -706,6 +779,7 @@ class Driver
             orders.push_back(ord.fullOrder(nDims));
         ExpandScratch &s = expandScratch();
         base.m.tileShape(k, s.baseShape);
+        const std::size_t before = col.out.size();
 
         using IO = SunstoneOptions::IntraOrder;
         if (opts.intraOrder == IO::UnrollTileOrder) {
@@ -750,15 +824,12 @@ class Driver
                                        std::memory_order_relaxed);
                     for (std::size_t at = 0; at < s.tiles.size();
                          at += nDims)
-                        emitCandidate(base, k, ord, orders[o],
+                        emitCandidate(base, k, ord, o, orders[o],
                                       s.tiles.data() + at, u.data(), ph,
                                       col);
                 }
             }
-            return;
-        }
-
-        if (opts.intraOrder == IO::TileUnrollOrder) {
+        } else if (opts.intraOrder == IO::TileUnrollOrder) {
             // Per ordering, temporal tile first, then unrolling from the
             // leftover quotient.
             for (std::size_t o = 0; o < orderings.size(); ++o) {
@@ -768,30 +839,36 @@ class Driver
                 examined.fetch_add(tw.nodesVisited,
                                    std::memory_order_relaxed);
                 for (std::size_t at = 0; at < s.tiles.size(); at += nDims)
-                    emitTileUnrolls(base, k, ord, orders[o],
+                    emitTileUnrolls(base, k, ord, o, orders[o],
                                     s.tiles.data() + at, fanout_above,
                                     allowedUnrollDimsFor(ord), ph, col);
             }
-            return;
+        } else {
+            // OrderTileUnroll: the ordering is bound last, so tile and
+            // unroll enumerate over the union of every ordering's
+            // principle-allowed dims (a strictly larger space).
+            DimSet grow_union, allow_union;
+            for (const auto &ord : orderings) {
+                grow_union =
+                    grow_union.unionWith(growDimsFor(ord, active, k));
+                allow_union =
+                    allow_union.unionWith(allowedUnrollDimsFor(ord));
+            }
+            const TilingWalkStats tw =
+                tracedTiles(k, s.baseShape, base.remaining, grow_union);
+            examined.fetch_add(tw.nodesVisited, std::memory_order_relaxed);
+            for (std::size_t at = 0; at < s.tiles.size(); at += nDims)
+                for (std::size_t o = 0; o < orderings.size(); ++o)
+                    emitTileUnrolls(base, k, orderings[o], o, orders[o],
+                                    s.tiles.data() + at, fanout_above,
+                                    allow_union, ph, col);
         }
-
-        // OrderTileUnroll: the ordering is bound last, so tile and
-        // unroll enumerate over the union of every ordering's
-        // principle-allowed dims (a strictly larger space).
-        DimSet grow_union, allow_union;
-        for (const auto &ord : orderings) {
-            grow_union = grow_union.unionWith(growDimsFor(ord, active, k));
-            allow_union =
-                allow_union.unionWith(allowedUnrollDimsFor(ord));
+        // The survivors just recorded extend this base and name its
+        // orderings; a base without survivors is dropped.
+        if (col.out.size() > before) {
+            col.bases.push_back(std::move(base));
+            col.orderings.push_back(std::move(orderings));
         }
-        const TilingWalkStats tw =
-            tracedTiles(k, s.baseShape, base.remaining, grow_union);
-        examined.fetch_add(tw.nodesVisited, std::memory_order_relaxed);
-        for (std::size_t at = 0; at < s.tiles.size(); at += nDims)
-            for (std::size_t o = 0; o < orderings.size(); ++o)
-                emitTileUnrolls(base, k, orderings[o], orders[o],
-                                s.tiles.data() + at, fanout_above,
-                                allow_union, ph, col);
     }
 
     // Span-wrapped enumerators: every (order, tile, unroll) decision in
@@ -825,7 +902,7 @@ class Driver
 
     void
     emitTileUnrolls(Partial &base, int k, const OrderingCandidate &ord,
-                    const std::vector<DimId> &order,
+                    std::size_t ordering, const std::vector<DimId> &order,
                     const std::int64_t *tile, std::int64_t fanout_above,
                     DimSet allowed, const EvalEngine::PrefixHandle &ph,
                     Collector &col)
@@ -840,10 +917,11 @@ class Driver
             examined.fetch_add(ur.combosVisited,
                                std::memory_order_relaxed);
             for (const auto &u : ur.candidates)
-                emitCandidate(base, k, ord, order, tile, u.data(), ph,
-                              col);
+                emitCandidate(base, k, ord, ordering, order, tile, u.data(),
+                              ph, col);
         } else {
-            emitCandidate(base, k, ord, order, tile, ones.data(), ph, col);
+            emitCandidate(base, k, ord, ordering, order, tile, ones.data(),
+                          ph, col);
         }
     }
 
@@ -854,8 +932,8 @@ class Driver
      */
     void
     emitCandidate(Partial &base, int k, const OrderingCandidate &ord,
-                  const std::vector<DimId> &order, const std::int64_t *tile,
-                  const std::int64_t *unroll,
+                  std::size_t ordering, const std::vector<DimId> &order,
+                  const std::int64_t *tile, const std::int64_t *unroll,
                   const EvalEngine::PrefixHandle &ph, Collector &col)
     {
         ExpandScratch &s = expandScratch();
@@ -884,7 +962,8 @@ class Driver
             }
         }
         if (fits)
-            emit(col, base.m, s.rem, ord, order, /*bottom_up=*/true, ph);
+            emit(col, base.m, s.rem, ord, ordering, order, tile, unroll,
+                 /*bottom_up=*/true, ph);
         lm.temporal.assign(s.savedTemporal.begin(), s.savedTemporal.end());
         if (k + 1 < nLevels) {
             auto &up = base.m.level(k + 1);
@@ -923,7 +1002,11 @@ class Driver
                 if (tile[d] > 1)
                     tiled.add(d);
             }
-            for (const auto &ord : tracedOrderings(tiled)) {
+            std::vector<OrderingCandidate> orderings =
+                tracedOrderings(tiled);
+            const std::size_t before = col.out.size();
+            for (std::size_t o = 0; o < orderings.size(); ++o) {
+                const OrderingCandidate &ord = orderings[o];
                 const std::vector<DimId> order = ord.fullOrder(nDims);
                 std::vector<std::vector<std::int64_t>> unrolls;
                 if (fanout > 1) {
@@ -943,10 +1026,12 @@ class Driver
                         s.rem[d] = rem[d] / u[d];
                     }
                     lm.order.assign(order.begin(), order.end());
-                    emit(col, s.work, s.rem, ord, order,
+                    emit(col, s.work, s.rem, ord, o, order, tile, u.data(),
                          /*bottom_up=*/false, EvalEngine::PrefixHandle{});
                 }
             }
+            if (col.out.size() > before)
+                col.orderings.push_back(std::move(orderings));
         }
     }
 

@@ -416,6 +416,7 @@ SchedulerSession::runEval(const MappingRequest &req, MappingResponse &resp)
 {
     Workload wl = materializeWorkload(req);
     ArchSpec arch = materializeArch(req);
+    applyArchPrecisions(req, wl);
     BoundArch ba(arch, wl);
     if (req.mappingFile.empty())
         SUNSTONE_FATAL("eval needs --mapping <file>");

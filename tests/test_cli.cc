@@ -329,6 +329,34 @@ TEST(Cli, UnknownCommandFails)
     EXPECT_NE(r.output.find("usage"), std::string::npos);
 }
 
+TEST(Cli, UnknownFlagIsRejectedBeforeAnyWork)
+{
+    // A removed option (--surrogate) and a typo alike: the search never
+    // starts, so no stats file appears.
+    const std::string stats =
+        std::string(SUNSTONE_BIN_DIR) + "/unknown_flag_stats.json";
+    std::remove(stats.c_str());
+    auto r = runCli("map --net resnet18 --arch simba --surrogate on "
+                    "--frobnicate 3 --stats-json " + stats);
+    EXPECT_EQ(r.exitCode, 2) << r.output;
+    EXPECT_NE(r.output.find("--frobnicate"), std::string::npos) << r.output;
+    EXPECT_NE(r.output.find("--surrogate"), std::string::npos) << r.output;
+    EXPECT_FALSE(std::ifstream(stats).good());
+
+    // Each subcommand checks its own flags: --save-mapping is a map flag.
+    for (const char *args :
+         {"describe --einsum \"out[i] = A[i]\" --dims i=4 --threads 2",
+          "eval --save-mapping x.map", "arch --arch simba --max-evals 3",
+          "check --trials 1 --beam 4", "serve --conv n=1",
+          "report --threads 2", "bench --only none --frobnicate 1"}) {
+        SCOPED_TRACE(args);
+        auto bad = runCli(args);
+        EXPECT_EQ(bad.exitCode, 2) << bad.output;
+        EXPECT_NE(bad.output.find("unknown flag"), std::string::npos)
+            << bad.output;
+    }
+}
+
 TEST(Cli, MissingWorkloadIsFatal)
 {
     auto r = runCli("map");

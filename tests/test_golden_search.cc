@@ -77,16 +77,22 @@ renderNet(const ArchSpec &arch, const std::vector<Layer> &layers,
 
 std::string
 renderSearch(const std::string &name, const BoundArch &ba,
-             SunstoneOptions opts, unsigned threads)
+             SunstoneOptions opts, unsigned threads,
+             std::int64_t max_evals = 0)
 {
     EvalEngineOptions eo;
     eo.threads = threads;
     EvalEngine eng(eo);
     opts.engine = &eng;
     opts.threads = threads;
-    const SunstoneResult r = sunstoneOptimize(ba, opts);
-    return renderOne(name, ba, r.found, r.mapping, r.cost,
-                     r.candidatesExamined);
+    SearchContext sc;
+    sc.policy().maxEvals = max_evals;
+    const SunstoneResult r = sunstoneOptimize(sc, ba, opts);
+    std::string out = renderOne(name, ba, r.found, r.mapping, r.cost,
+                                r.candidatesExamined);
+    if (max_evals > 0)
+        out += "stop " + r.stopReason + "\n";
+    return out;
 }
 
 /** Compares `text` with the golden file, or rewrites the file when
@@ -178,6 +184,78 @@ TEST(GoldenSearch, IntraLevelOrders)
         }
         expectGolden("search_intra_orders_simba.txt", text);
     }
+}
+
+/** A 32-channel 3x3 convolution at 14x14, at Simba's precisions. */
+Workload
+simbaConv()
+{
+    ConvShape sh;
+    sh.n = 1;
+    sh.k = 32;
+    sh.c = 32;
+    sh.p = 14;
+    sh.q = 14;
+    sh.r = 3;
+    sh.s = 3;
+    Workload wl = makeConv2D(sh);
+    applySimbaPrecisions(wl);
+    return wl;
+}
+
+/**
+ * The beam trim's edge cases, in both inter-level orders: no alpha-beta
+ * (every scored candidate reaches the trim), a one-entry beam, and a
+ * beam wider than any step's survivor set (no trim at all).
+ */
+TEST(GoldenSearch, TrimEdgeCases)
+{
+    const BoundArch simba(makeSimbaLike(), simbaConv());
+    ConvShape sh;
+    sh.n = 1;
+    sh.k = 16;
+    sh.c = 16;
+    sh.p = 14;
+    sh.q = 14;
+    sh.r = 3;
+    sh.s = 3;
+    const BoundArch eyeriss(makeEyerissLike(), makeConv2D(sh));
+    using LO = SunstoneOptions::LevelOrder;
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        std::string text;
+        for (LO lo : {LO::BottomUp, LO::TopDown}) {
+            const std::string dir =
+                lo == LO::BottomUp ? "bottom_up" : "top_down";
+            const BoundArch &ba = lo == LO::BottomUp ? simba : eyeriss;
+            SunstoneOptions opts;
+            opts.levelOrder = lo;
+            SunstoneOptions no_ab = opts;
+            no_ab.alphaBeta = false;
+            text += renderSearch(dir + "_no_alpha_beta", ba, no_ab,
+                                 threads);
+            SunstoneOptions narrow = opts;
+            narrow.beamWidth = 1;
+            text += renderSearch(dir + "_beam_1", ba, narrow, threads);
+            SunstoneOptions wide = opts;
+            wide.beamWidth = 1 << 20;
+            text += renderSearch(dir + "_wide_beam", ba, wide, threads);
+        }
+        expectGolden("search_trim_edges.txt", text);
+    }
+}
+
+/** One-thread searches cut mid-step by max_evals, in both inter-level
+ *  orders: the partial beam the stop leaves behind is still ranked,
+ *  polished and reported. */
+TEST(GoldenSearch, StoppedMidStep)
+{
+    const BoundArch ba(makeSimbaLike(), simbaConv());
+    SunstoneOptions td;
+    td.levelOrder = SunstoneOptions::LevelOrder::TopDown;
+    expectGolden("search_stopped.txt",
+                 renderSearch("bottom_up_max_evals", ba, {}, 1, 2400) +
+                     renderSearch("top_down_max_evals", ba, td, 1, 10000));
 }
 
 } // namespace

@@ -373,6 +373,34 @@ TEST(ServiceSession, EvalRequestMatchesMapResult)
               mapped.result.cost.totalEnergyPj);
 }
 
+TEST(ServiceSession, EvalOnSimbaUsesTheSamePrecisionsAsMap)
+{
+    // Without explicit bits, both map and eval score a Simba workload
+    // at Simba's per-tensor precisions.
+    SchedulerSession session(quietSession());
+    MappingRequest map = smallConv(3);
+    map.archName = "simba";
+    const MappingResponse mapped = session.execute(map);
+    ASSERT_TRUE(mapped.ok && mapped.result.found) << mapped.error;
+
+    const std::string dir = ::testing::TempDir();
+    BoundArch ba(*mapped.arch, *mapped.workload);
+    saveMappingFile(mapped.result.mapping, ba,
+                    dir + "/svc_eval_simba.mapping");
+
+    MappingRequest eval;
+    eval.kind = RequestKind::Eval;
+    eval.conv = map.conv;
+    eval.archName = "simba";
+    eval.mappingFile = dir + "/svc_eval_simba.mapping";
+    const MappingResponse evaluated = session.execute(eval);
+    ASSERT_TRUE(evaluated.ok) << evaluated.error;
+    ASSERT_TRUE(evaluated.result.found);
+    EXPECT_EQ(evaluated.result.cost.totalEnergyPj,
+              mapped.result.cost.totalEnergyPj);
+    EXPECT_EQ(evaluated.result.cost.edp, mapped.result.cost.edp);
+}
+
 TEST(ServiceStats, DeltaSinceAndHitRate)
 {
     SearchStats earlier;

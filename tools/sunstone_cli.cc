@@ -109,6 +109,9 @@
  *       Differential-fuzz the analytical cost model against the
  *       loop-nest oracle on random (workload, arch, mapping) triples.
  *
+ * Every subcommand rejects a flag it does not read: it names the flag
+ * on stderr and exits 2 before doing any work.
+ *
  * Workload options: --einsum/--dims/--bits, or --workload-file F, or a
  * preset: --conv n=16,k=64,c=64,p=56,q=56,r=3,s=3[,stride=1].
  * Architectures: conventional (default), simba, eyeriss, diannao, toy,
@@ -122,7 +125,9 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "arch/arch_config.hh"
 #include "common/parse.hh"
@@ -579,6 +584,68 @@ cmdServe(const Args &a)
     return service::runServe(o);
 }
 
+// The flags each subcommand reads. An unknown flag is rejected before
+// any work, so a typo or a removed option is never silently ignored.
+const std::vector<std::string_view> kWorkloadFlags = {
+    "workload-file", "conv", "einsum", "dims", "bits", "name"};
+const std::vector<std::string_view> kArchFlags = {"arch", "arch-file"};
+const std::vector<std::string_view> kMapFlags = {
+    "mapper",     "energy",    "beam",        "budget",
+    "stop-policy", "deadline-ms", "max-evals", "plateau",
+    "seed",       "checkpoint", "resume",     "net",
+    "batch",      "seq",       "fuse",        "save-mapping",
+    "save-workload"};
+const std::vector<std::string_view> kSessionFlags = {"threads",
+                                                     "warmstart-store"};
+const std::vector<std::string_view> kArtifactFlags = {
+    "stats-json",       "trace-json",    "metrics-json",
+    "convergence-json", "snapshot-json", "snapshot-interval-ms",
+    "progress",         "diag-dir"};
+
+const std::map<std::string, std::vector<std::vector<std::string_view>>>
+    kCommandFlags = {
+        {"describe", {kWorkloadFlags}},
+        {"map",
+         {kWorkloadFlags, kArchFlags, kMapFlags, kSessionFlags,
+          kArtifactFlags}},
+        {"eval", {kWorkloadFlags, kArchFlags, kSessionFlags, {"mapping"}}},
+        {"arch", {kArchFlags, {"save"}}},
+        {"check",
+         {kSessionFlags,
+          {"trials", "seed", "no-shrink", "repro-prefix", "inject-fault"}}},
+        {"serve",
+         {{"threads", "warmstart-store", "queue-capacity", "metrics-json"}}},
+        {"bench",
+         {{"seed", "repeat", "warmup", "threads", "out", "search-out",
+           "only", "deadline-ms", "max-evals", "plateau", "snapshot-json",
+           "snapshot-interval-ms", "progress"}}},
+        {"report",
+         {{"stats-json", "metrics-json", "snapshot-json",
+           "convergence-json", "bench-json", "trace-json", "diag-dir"}}},
+};
+
+/** @return false, after naming them on stderr, when `a` holds flags its
+ *  subcommand does not read. */
+bool
+flagsKnown(const Args &a,
+           const std::vector<std::vector<std::string_view>> &groups)
+{
+    std::string unknown;
+    for (const auto &kv : a.kv) {
+        const bool known = std::any_of(
+            groups.begin(), groups.end(), [&](const auto &g) {
+                return std::find(g.begin(), g.end(), kv.first) != g.end();
+            });
+        if (!known)
+            unknown += " --" + kv.first;
+    }
+    if (unknown.empty())
+        return true;
+    std::fprintf(stderr, "sunstone %s: unknown flag(s):%s\n",
+                 a.command.c_str(), unknown.c_str());
+    return false;
+}
+
 void
 usage()
 {
@@ -607,6 +674,13 @@ main(int argc, char **argv)
 {
     obs::registerThisThread("main");
     Args a = parseArgs(argc, argv);
+    const auto flags = kCommandFlags.find(a.command);
+    if (flags == kCommandFlags.end()) {
+        usage();
+        return a.command.empty() ? 1 : 2;
+    }
+    if (!flagsKnown(a, flags->second))
+        return 2;
     if (a.command == "describe")
         return cmdDescribe(a);
     if (a.command == "map")
@@ -621,8 +695,5 @@ main(int argc, char **argv)
         return cmdServe(a);
     if (a.command == "bench")
         return sunstone::bench::run(a.kv);
-    if (a.command == "report")
-        return sunstone::report::run(a.kv);
-    usage();
-    return a.command.empty() ? 1 : 2;
+    return sunstone::report::run(a.kv);
 }
