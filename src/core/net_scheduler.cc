@@ -1,8 +1,7 @@
 #include "core/net_scheduler.hh"
 
+#include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -23,21 +22,12 @@ namespace sunstone {
 
 namespace {
 
-std::string
-num(double v)
-{
-    if (!std::isfinite(v))
-        return "null"; // "%g" would emit inf/nan, which is not valid JSON
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
 /**
  * Structural fingerprint of the whole schedule: the unique layer
- * fingerprints folded in discovery order (which is deterministic — it
- * follows the input layer list). Guards a "net" checkpoint against being
- * resumed for a different network or architecture.
+ * fingerprints, then the fused-unit fingerprints, folded in discovery
+ * order (which is deterministic — it follows the node list). Guards a
+ * net checkpoint against being resumed for a different network,
+ * architecture or fusion plan.
  */
 std::uint64_t
 netFingerprint(const std::vector<std::uint64_t> &unique_fps)
@@ -51,47 +41,43 @@ netFingerprint(const std::vector<std::uint64_t> &unique_fps)
     return h;
 }
 
-/** One completed unique search, as carried by the "net" checkpoint. */
-struct DoneSearch
-{
-    bool found = false;
-    Mapping mapping;
-    double seconds = 0;
-    std::int64_t examined = 0;
-    std::string stopReason = "exhausted";
-};
-
+/** One completed search as a net checkpoint entry. */
 std::string
-doneToJson(std::uint64_t fp, const DoneSearch &d)
+doneToJson(std::uint64_t fp, const SunstoneResult &r)
 {
     std::string s = "{\"fp\": " + jsonHexU64(fp) +
-                    ", \"found\": " + (d.found ? "true" : "false") +
-                    ", \"seconds\": " + jsonDouble(d.seconds) +
-                    ", \"examined\": " + std::to_string(d.examined) +
-                    ", \"stop\": \"" + jsonEscape(d.stopReason) + "\"";
-    if (d.found)
-        s += ", \"mapping\": " + mappingToJson(d.mapping);
+                    ", \"found\": " + (r.found ? "true" : "false") +
+                    ", \"seconds\": " + jsonDouble(r.seconds) +
+                    ", \"examined\": " +
+                    std::to_string(r.candidatesExamined) +
+                    ", \"stop\": \"" + jsonEscape(r.stopReason) + "\"";
+    if (r.found)
+        s += ", \"mapping\": " + mappingToJson(r.mapping);
     return s + "}";
 }
 
+/**
+ * Inverse of doneToJson. The cost is not stored: the caller re-scores a
+ * found mapping under its own BoundArch.
+ */
 bool
-doneFromJson(const JsonValue &v, std::uint64_t &fp, DoneSearch &d)
+doneFromJson(const JsonValue &v, std::uint64_t &fp, SunstoneResult &r)
 {
     const JsonValue *f = v.find("fp");
     if (!f)
         return false;
     fp = f->asHexU64();
     if (const JsonValue *x = v.find("found"))
-        d.found = x->asBool();
+        r.found = x->asBool();
     if (const JsonValue *x = v.find("seconds"))
-        d.seconds = x->asDouble();
+        r.seconds = x->asDouble();
     if (const JsonValue *x = v.find("examined"))
-        d.examined = x->asInt();
-    if (const JsonValue *x = v.find("stop"))
-        d.stopReason = x->asString("exhausted");
-    if (d.found) {
+        r.candidatesExamined = x->asInt();
+    const JsonValue *stop = v.find("stop");
+    r.stopReason = stop ? stop->asString("exhausted") : "exhausted";
+    if (r.found) {
         const JsonValue *m = v.find("mapping");
-        if (!m || !mappingFromJson(*m, d.mapping))
+        if (!m || !mappingFromJson(*m, r.mapping))
             return false;
     }
     return true;
@@ -107,10 +93,10 @@ NetScheduleResult::toJson() const
     j += ",\"stopReason\":\"" + jsonEscape(stopReason) + "\"";
     j += ",\"layersTotal\":" + std::to_string(layersTotal);
     j += ",\"layersUnique\":" + std::to_string(layersUnique);
-    j += ",\"totalEnergyPj\":" + num(totalEnergyPj);
-    j += ",\"totalDelaySeconds\":" + num(totalDelaySeconds);
-    j += ",\"totalEdp\":" + num(totalEdp);
-    j += ",\"seconds\":" + num(seconds);
+    j += ",\"totalEnergyPj\":" + jsonDouble(totalEnergyPj);
+    j += ",\"totalDelaySeconds\":" + jsonDouble(totalDelaySeconds);
+    j += ",\"totalEdp\":" + jsonDouble(totalEdp);
+    j += ",\"seconds\":" + jsonDouble(seconds);
     j += ",\"layers\":[";
     for (std::size_t i = 0; i < layers.size(); ++i) {
         const LayerSchedule &l = layers[i];
@@ -124,12 +110,12 @@ NetScheduleResult::toJson() const
         if (!l.stopReason.empty())
             j += ",\"stopReason\":\"" + jsonEscape(l.stopReason) + "\"";
         if (l.found) {
-            j += ",\"energyPj\":" + num(l.cost.totalEnergyPj);
-            j += ",\"delaySeconds\":" + num(l.cost.delaySeconds);
-            j += ",\"edp\":" + num(l.cost.edp);
-            j += ",\"utilization\":" + num(l.cost.utilization);
+            j += ",\"energyPj\":" + jsonDouble(l.cost.totalEnergyPj);
+            j += ",\"delaySeconds\":" + jsonDouble(l.cost.delaySeconds);
+            j += ",\"edp\":" + jsonDouble(l.cost.edp);
+            j += ",\"utilization\":" + jsonDouble(l.cost.utilization);
         }
-        j += ",\"seconds\":" + num(l.seconds);
+        j += ",\"seconds\":" + jsonDouble(l.seconds);
         j += ",\"candidatesExamined\":" +
              std::to_string(l.candidatesExamined);
         // Only the fusion-aware scheduler emits these, so FusionMode::Off
@@ -162,11 +148,12 @@ NetScheduleResult::toJson() const
             if (!gr.rejectReason.empty())
                 j += ",\"rejectReason\":\"" + jsonEscape(gr.rejectReason) +
                      "\"";
-            j += ",\"fusedEnergyPj\":" + num(gr.fusedEnergyPj);
-            j += ",\"fusedDelaySeconds\":" + num(gr.fusedDelaySeconds);
-            j += ",\"unfusedEnergyPj\":" + num(gr.unfusedEnergyPj);
-            j += ",\"unfusedDelaySeconds\":" + num(gr.unfusedDelaySeconds);
-            j += ",\"searchSeconds\":" + num(gr.searchSeconds);
+            j += ",\"fusedEnergyPj\":" + jsonDouble(gr.fusedEnergyPj);
+            j += ",\"fusedDelaySeconds\":" + jsonDouble(gr.fusedDelaySeconds);
+            j += ",\"unfusedEnergyPj\":" + jsonDouble(gr.unfusedEnergyPj);
+            j += ",\"unfusedDelaySeconds\":" +
+                 jsonDouble(gr.unfusedDelaySeconds);
+            j += ",\"searchSeconds\":" + jsonDouble(gr.searchSeconds);
             j += ",\"candidatesExamined\":" +
                  std::to_string(gr.candidatesExamined);
             j += "}";
@@ -176,297 +163,6 @@ NetScheduleResult::toJson() const
     j += ",\"stats\":" + stats.toJson();
     j += "}";
     return j;
-}
-
-NetScheduleResult
-scheduleNet(SearchContext &sc, const ArchSpec &arch,
-            const std::vector<Layer> &layers,
-            const NetSchedulerOptions &opts)
-{
-    SUNSTONE_TRACE_SPAN("net.schedule");
-    Timer timer;
-    NetScheduleResult result;
-
-    const unsigned threads =
-        opts.threads ? opts.threads : opts.sunstone.threads;
-    EvalEngine &eng =
-        sc.engine() ? *sc.engine()
-                    : (opts.engine ? *opts.engine
-                                   : sc.engineOrPrivate(threads));
-
-    // The whole-network wall-clock budget becomes one absolute deadline
-    // shared by every per-layer search: layers launched late inherit
-    // whatever is left instead of each getting a fresh budget. The other
-    // StopPolicy bounds (max-evals, plateau, invalid streak) apply to
-    // each unique layer search individually.
-    const StopPolicy &netPolicy = sc.policy();
-    if (netPolicy.deadlineSeconds != 0 && !sc.hardDeadline()) {
-        const double budget = std::max(0.0, netPolicy.deadlineSeconds);
-        sc.setHardDeadline(std::chrono::steady_clock::now() +
-                           std::chrono::duration_cast<
-                               std::chrono::steady_clock::duration>(
-                               std::chrono::duration<double>(budget)));
-    }
-
-    // Bind every layer and group by structural fingerprint. BoundArch
-    // objects are heap-allocated so references taken by the concurrent
-    // searches below stay stable.
-    struct Unique
-    {
-        std::unique_ptr<BoundArch> ba;
-        std::uint64_t fingerprint = 0;
-        bool restored = false;
-        SunstoneResult search;
-    };
-    std::vector<Unique> uniques;
-    std::vector<std::size_t> layerToUnique(layers.size());
-    std::unordered_map<std::uint64_t, std::size_t> byFingerprint;
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-        auto ba = std::make_unique<BoundArch>(arch, layers[i].workload);
-        const std::uint64_t fp = eng.context(*ba).fingerprint();
-        auto [it, inserted] = byFingerprint.emplace(fp, uniques.size());
-        if (inserted)
-            uniques.push_back({std::move(ba), fp, false, {}});
-        layerToUnique[i] = it->second;
-    }
-    std::vector<std::uint64_t> uniqueFps;
-    uniqueFps.reserve(uniques.size());
-    for (const Unique &u : uniques)
-        uniqueFps.push_back(u.fingerprint);
-    const std::uint64_t netFp = netFingerprint(uniqueFps);
-
-    // Consume a pending "net" resume snapshot: every unique search it
-    // records as completed is adopted instead of re-run.
-    double baseSeconds = 0;
-    if (std::optional<SearchCheckpoint> ck = sc.takeResume()) {
-        if (ck->search != "net")
-            SUNSTONE_FATAL("checkpoint was written by search '",
-                           ck->search, "', cannot resume the network "
-                           "scheduler from it");
-        if (ck->workloadFingerprint != netFp)
-            SUNSTONE_FATAL("checkpoint fingerprint ",
-                           ck->workloadFingerprint,
-                           " does not match this network/architecture (",
-                           netFp, ") — it was taken for a different "
-                           "problem");
-        if (sc.hasSeed() && sc.seed() != ck->seed)
-            SUNSTONE_FATAL("checkpoint seed ", ck->seed,
-                           " differs from the requested seed ",
-                           sc.seed());
-        sc.setSeed(ck->seed);
-        baseSeconds = ck->seconds;
-        JsonValue v;
-        if (!parseJson(ck->streamState, v) || !v.isObject())
-            SUNSTONE_FATAL("malformed 'net' checkpoint stream payload");
-        std::unordered_map<std::uint64_t, DoneSearch> done;
-        if (const JsonValue *arr = v.find("done"); arr && arr->isArray())
-            for (const JsonValue &e : arr->items) {
-                std::uint64_t fp = 0;
-                DoneSearch d;
-                if (!doneFromJson(e, fp, d))
-                    SUNSTONE_FATAL("malformed 'net' checkpoint entry");
-                done.emplace(fp, std::move(d));
-            }
-        for (Unique &u : uniques) {
-            auto it = done.find(u.fingerprint);
-            if (it == done.end())
-                continue;
-            const DoneSearch &d = it->second;
-            u.restored = true;
-            u.search.found = d.found;
-            u.search.mapping = d.mapping;
-            u.search.seconds = d.seconds;
-            u.search.candidatesExamined = d.examined;
-            u.search.stopReason = d.stopReason;
-            if (d.found)
-                u.search.cost =
-                    eng.evaluate(eng.context(*u.ba), d.mapping);
-            obs::metrics().counter("net.resumed_searches").add(1);
-        }
-    }
-
-    // Writes the "net" checkpoint reflecting every completed (or
-    // restored) unique search. Serialized by checkpointMtx — completed
-    // searches land concurrently from the pool.
-    std::mutex checkpointMtx;
-    const auto writeNetCheckpoint = [&] {
-        if (sc.checkpointPath().empty())
-            return;
-        SearchCheckpoint ck;
-        ck.search = "net";
-        ck.workloadFingerprint = netFp;
-        ck.seed = sc.seed();
-        std::string payload = "{\"done\": [";
-        bool first = true;
-        for (const Unique &u : uniques) {
-            if (!u.restored)
-                continue;
-            DoneSearch d;
-            d.found = u.search.found;
-            d.mapping = u.search.mapping;
-            d.seconds = u.search.seconds;
-            d.examined = u.search.candidatesExamined;
-            d.stopReason = u.search.stopReason;
-            if (!first)
-                payload += ", ";
-            first = false;
-            payload += doneToJson(u.fingerprint, d);
-            ck.evaluated += u.search.candidatesExamined;
-        }
-        payload += "]}";
-        ck.streamState = payload;
-        ck.seconds = baseSeconds + timer.seconds();
-        if (!ck.save(sc.checkpointPath()))
-            SUNSTONE_WARN("failed to write checkpoint '",
-                          sc.checkpointPath(), "'");
-        else
-            obs::flightRecorder().record(
-                "checkpoint.written",
-                "net evals=" + std::to_string(ck.evaluated) + " -> " +
-                    sc.checkpointPath());
-    };
-    {
-        std::lock_guard<std::mutex> lk(checkpointMtx);
-        writeNetCheckpoint(); // records the restored set immediately
-    }
-
-    // Coarse phase units for the progress line: one per unique search.
-    obs::ProgressBoard &board = obs::progressBoard();
-    board.addUnits(static_cast<std::int64_t>(uniques.size()));
-    for (const Unique &u : uniques)
-        if (u.restored)
-            board.noteUnitDone();
-
-    // Warm-start store: loaded once before the fan-out (a missing file
-    // just means an empty store) and only *read* while searches run,
-    // so concurrent queries need no locking and results stay
-    // deterministic. Realized bests are recorded back serially below.
-    WarmStartStore wstore;
-    const bool useWarmstart = !opts.warmstartStore.empty();
-    if (useWarmstart)
-        wstore.load(opts.warmstartStore);
-
-    // One Sunstone search per unique structure, concurrently on the
-    // shared pool. The search's own parallelFor nests on the same pool
-    // through group-scoped joins, so no thread oversubscription.
-    parallelFor(eng.pool(), uniques.size(), [&](std::size_t u) {
-        if (uniques[u].restored)
-            return;
-        SUNSTONE_TRACE_SPAN("net.search:" +
-                            uniques[u].ba->workload().name());
-        SunstoneOptions so = opts.sunstone;
-        so.engine = &eng;
-        // One trajectory per unique structure, labeled by the layer that
-        // introduced it.
-        obs::ConvergenceRecorder *conv =
-            sc.convergence() ? sc.convergence() : so.convergence;
-        if (conv)
-            so.searchLabel =
-                "sunstone:" + uniques[u].ba->workload().name();
-        // Each concurrent search gets its own child context; the
-        // network-wide hard deadline and cancellation flag are shared
-        // through it, the per-search bounds are copied.
-        SearchContext child(&eng, netPolicy, conv);
-        child.policy().deadlineSeconds = 0; // network-wide, see above
-        if (sc.hardDeadline())
-            child.setHardDeadline(*sc.hardDeadline());
-        if (sc.hasSeed())
-            child.setSeed(sc.seed());
-        if (useWarmstart)
-            child.setWarmStarts(wstore.query(*uniques[u].ba));
-        Timer t;
-        uniques[u].search = sunstoneOptimize(child, *uniques[u].ba, so);
-        eng.addPhaseSeconds(
-            "layer:" + uniques[u].ba->workload().name(), t.seconds());
-        {
-            std::lock_guard<std::mutex> lk(checkpointMtx);
-            uniques[u].restored = true; // completed: in checkpoints now
-            writeNetCheckpoint();
-        }
-        board.noteUnitDone();
-    });
-    obs::metrics().counter("net.unique_searches").add(
-        static_cast<std::int64_t>(uniques.size()));
-
-    if (useWarmstart) {
-        // Serial, in unique order: deterministic store contents.
-        bool changed = false;
-        for (const Unique &u : uniques)
-            if (u.search.found &&
-                wstore.record(*u.ba, u.ba->workload().name(),
-                              u.search.cost.edp, u.search.mapping))
-                changed = true;
-        if (changed && !wstore.save(opts.warmstartStore))
-            SUNSTONE_WARN("failed to write warm-start store '",
-                          opts.warmstartStore, "'");
-        obs::metrics().gauge("net.warmstart.store_entries")
-            .set(static_cast<double>(wstore.size()));
-    }
-
-    result.allFound = true;
-    result.stopReason = "exhausted";
-    result.layers.reserve(layers.size());
-    std::vector<bool> seen(uniques.size(), false);
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-        const std::size_t u = layerToUnique[i];
-        const Unique &uq = uniques[u];
-        LayerSchedule ls;
-        ls.name = layers[i].workload.name();
-        ls.count = layers[i].count;
-        ls.found = uq.search.found;
-        ls.mapping = uq.search.mapping;
-        if (seen[u]) {
-            // Broadcast: re-validate the chosen mapping under this
-            // layer's own context. Identical structure means an
-            // identical cache key, so this is a guaranteed hit — the
-            // dedup shows up in the telemetry instead of as a repeated
-            // search.
-            ls.deduplicated = true;
-            ls.stopReason = "dedup";
-            obs::metrics().counter("net.dedup_broadcasts").add(1);
-            if (ls.found) {
-                SUNSTONE_TRACE_SPAN("net.broadcast");
-                ls.cost = eng.evaluate(eng.context(*uq.ba), ls.mapping);
-            }
-        } else {
-            seen[u] = true;
-            ls.cost = uq.search.cost;
-            ls.seconds = uq.search.seconds;
-            ls.candidatesExamined = uq.search.candidatesExamined;
-            ls.stopReason = uq.search.stopReason;
-            // The first interrupting reason wins over "exhausted";
-            // cancellation outranks the deadline.
-            if (ls.stopReason == "deadline" &&
-                result.stopReason == "exhausted")
-                result.stopReason = "deadline";
-            if (ls.stopReason == "cancelled")
-                result.stopReason = "cancelled";
-        }
-        if (ls.found) {
-            result.totalEnergyPj += ls.count * ls.cost.totalEnergyPj;
-            result.totalDelaySeconds += ls.count * ls.cost.delaySeconds;
-        } else {
-            result.allFound = false;
-        }
-        result.layersTotal += ls.count;
-        result.layers.push_back(std::move(ls));
-    }
-    obs::metrics().counter("net.layers_scheduled").add(
-        static_cast<std::int64_t>(layers.size()));
-    result.layersUnique = static_cast<int>(uniques.size());
-    result.totalEdp = result.totalEnergyPj * result.totalDelaySeconds;
-    result.seconds = baseSeconds + timer.seconds();
-    eng.addPhaseSeconds("net.schedule", timer.seconds());
-    result.stats = eng.stats();
-    return result;
-}
-
-NetScheduleResult
-scheduleNet(const ArchSpec &arch, const std::vector<Layer> &layers,
-            const NetSchedulerOptions &opts)
-{
-    SearchContext sc;
-    return scheduleNet(sc, arch, layers, opts);
 }
 
 namespace {
@@ -524,20 +220,27 @@ sinkEphemeralLoops(const BoundArch &ba, const Mapping &m0)
 }
 
 /**
- * The fusion-aware scheduler (FusionMode::Greedy). Structure mirrors
- * the per-layer scheduleNet — bind, dedup, resume, search, assemble —
- * with one extra unit kind: fused chains, searched per member under
- * residency-marked BoundArchs and accepted only when they dominate the
- * per-op baselines.
+ * The network scheduler. Binds every node and dedups by structural
+ * fingerprint, plans fusion chains (FusionMode::Greedy only), resumes,
+ * runs the per-op searches and then the fused-chain searches on the
+ * shared pool, decides each chain, and assembles per-node results with
+ * dedup broadcast. FusionMode::Off plans no chains, so there are no
+ * fused units and every node keeps its per-op result.
  */
 NetScheduleResult
-scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
-                  const NetSchedulerOptions &opts)
+scheduleGraph(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
+              FusionMode mode, const NetSchedulerOptions &opts)
 {
-    SUNSTONE_TRACE_SPAN("net.schedule.fused");
+    // The mode picks every observable name, so a fuse-off schedule keeps
+    // the flat scheduler's spans, checkpoint label and JSON fields.
+    const bool fuse = mode == FusionMode::Greedy;
+    const char *const phase = fuse ? "net.schedule.fused" : "net.schedule";
+    const std::string label = fuse ? "net-fused" : "net";
+    SUNSTONE_TRACE_SPAN(phase);
     Timer timer;
     NetScheduleResult result;
-    result.fusionMode = "greedy";
+    if (fuse)
+        result.fusionMode = "greedy";
 
     const unsigned threads =
         opts.threads ? opts.threads : opts.sunstone.threads;
@@ -546,6 +249,11 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
                     : (opts.engine ? *opts.engine
                                    : sc.engineOrPrivate(threads));
 
+    // The whole-network wall-clock budget becomes one absolute deadline
+    // shared by every search: searches launched late inherit whatever is
+    // left instead of each getting a fresh budget. The other StopPolicy
+    // bounds (max-evals, plateau, invalid streak) apply to each search
+    // individually.
     const StopPolicy &netPolicy = sc.policy();
     if (netPolicy.deadlineSeconds != 0 && !sc.hardDeadline()) {
         const double budget = std::max(0.0, netPolicy.deadlineSeconds);
@@ -555,7 +263,9 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
                                std::chrono::duration<double>(budget)));
     }
 
-    // ---- Bind + dedup per-op baselines (as the per-layer path) -------
+    // ---- Bind + dedup per-op searches ---------------------------------
+    // BoundArch objects are heap-allocated so references taken by the
+    // concurrent searches below stay stable.
     struct Unique
     {
         std::unique_ptr<BoundArch> ba;
@@ -583,7 +293,7 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
     // decide for the actual mappings.
     std::vector<std::vector<int>> groupNodes;
     std::vector<int> nodeGroup(g.numNodes(), -1);
-    {
+    if (fuse) {
         SUNSTONE_TRACE_SPAN("net.fuse.plan");
         auto fusableEdge = [&](const NetEdge &e) {
             obs::metrics().counter("net.fusion.edges_considered").add(1);
@@ -704,11 +414,14 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
     const std::uint64_t netFp = netFingerprint(allFps);
 
     // ---- Resume ------------------------------------------------------
+    // Every search a pending resume snapshot records as completed is
+    // adopted instead of re-run; its found mapping is re-scored here.
     double baseSeconds = 0;
     if (std::optional<SearchCheckpoint> ck = sc.takeResume()) {
-        if (ck->search != "net-fused")
+        if (ck->search != label)
             SUNSTONE_FATAL("checkpoint was written by search '",
-                           ck->search, "', cannot resume the fused "
+                           ck->search, "', cannot resume the ",
+                           fuse ? "fused " : "",
                            "network scheduler from it");
         if (ck->workloadFingerprint != netFp)
             SUNSTONE_FATAL("checkpoint fingerprint ",
@@ -724,49 +437,54 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
         baseSeconds = ck->seconds;
         JsonValue v;
         if (!parseJson(ck->streamState, v) || !v.isObject())
-            SUNSTONE_FATAL("malformed 'net-fused' checkpoint payload");
-        std::unordered_map<std::uint64_t, DoneSearch> done;
-        std::unordered_map<std::uint64_t, std::vector<DoneSearch>>
+            SUNSTONE_FATAL("malformed '", label, "' checkpoint payload");
+        std::unordered_map<std::uint64_t, SunstoneResult> done;
+        std::unordered_map<std::uint64_t, std::vector<SunstoneResult>>
             doneFused;
+        const auto parseEntry = [&](const JsonValue &e) {
+            std::uint64_t fp = 0;
+            SunstoneResult r;
+            if (!doneFromJson(e, fp, r))
+                SUNSTONE_FATAL("malformed '", label, "' checkpoint entry");
+            return std::make_pair(fp, std::move(r));
+        };
         if (const JsonValue *arr = v.find("done"); arr && arr->isArray())
             for (const JsonValue &e : arr->items) {
-                const JsonValue *f = e.find("fp");
-                if (!f)
-                    SUNSTONE_FATAL("malformed 'net-fused' entry");
-                if (const JsonValue *fs = e.find("fused");
-                    fs && fs->isArray()) {
-                    std::vector<DoneSearch> recs;
-                    for (const JsonValue &me : fs->items) {
-                        std::uint64_t mfp = 0;
-                        DoneSearch d;
-                        if (!doneFromJson(me, mfp, d))
-                            SUNSTONE_FATAL(
-                                "malformed 'net-fused' member entry");
-                        recs.push_back(std::move(d));
-                    }
-                    doneFused.emplace(f->asHexU64(), std::move(recs));
+                const JsonValue *fs = e.find("fused");
+                if (!fs || !fs->isArray()) {
+                    done.insert(parseEntry(e));
                     continue;
                 }
-                std::uint64_t fp = 0;
-                DoneSearch d;
-                if (!doneFromJson(e, fp, d))
-                    SUNSTONE_FATAL("malformed 'net-fused' entry");
-                done.emplace(fp, std::move(d));
+                const JsonValue *f = e.find("fp");
+                if (!f)
+                    SUNSTONE_FATAL("malformed '", label,
+                                   "' checkpoint entry");
+                std::vector<SunstoneResult> recs;
+                for (const JsonValue &me : fs->items)
+                    recs.push_back(parseEntry(me).second);
+                doneFused.emplace(f->asHexU64(), std::move(recs));
             }
+        // A found entry must re-score as valid: an edited or corrupted
+        // mapping would otherwise be reported as found with an infinite
+        // cost.
+        const auto restore = [&](SunstoneResult &dst, SunstoneResult src,
+                                 const BoundArch &ba) {
+            dst = std::move(src);
+            if (!dst.found)
+                return;
+            dst.cost = eng.evaluate(eng.context(ba), dst.mapping);
+            if (!dst.cost.valid)
+                SUNSTONE_FATAL("malformed '", label, "' checkpoint: the "
+                               "mapping recorded for '",
+                               ba.workload().name(), "' is not valid (",
+                               dst.cost.invalidReason, ")");
+        };
         for (Unique &u : uniques) {
             auto it = done.find(u.fingerprint);
             if (it == done.end())
                 continue;
-            const DoneSearch &d = it->second;
             u.restored = true;
-            u.search.found = d.found;
-            u.search.mapping = d.mapping;
-            u.search.seconds = d.seconds;
-            u.search.candidatesExamined = d.examined;
-            u.search.stopReason = d.stopReason;
-            if (d.found)
-                u.search.cost =
-                    eng.evaluate(eng.context(*u.ba), d.mapping);
+            restore(u.search, std::move(it->second), *u.ba);
             obs::metrics().counter("net.resumed_searches").add(1);
         }
         for (FusedUnit &fu : fusedUnits) {
@@ -775,67 +493,46 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
                 it->second.size() != fu.members.size())
                 continue;
             fu.restored = true;
-            for (std::size_t i = 0; i < fu.members.size(); ++i) {
-                const DoneSearch &d = it->second[i];
-                FusedMember &fm = fu.members[i];
-                fm.search.found = d.found;
-                fm.search.mapping = d.mapping;
-                fm.search.seconds = d.seconds;
-                fm.search.candidatesExamined = d.examined;
-                fm.search.stopReason = d.stopReason;
-                if (d.found)
-                    fm.search.cost =
-                        eng.evaluate(eng.context(*fm.ba), d.mapping);
-            }
+            for (std::size_t i = 0; i < fu.members.size(); ++i)
+                restore(fu.members[i].search, std::move(it->second[i]),
+                        *fu.members[i].ba);
             obs::metrics().counter("net.resumed_searches").add(1);
         }
     }
 
     // ---- Checkpointing -----------------------------------------------
+    // Writes the checkpoint reflecting every completed (or restored)
+    // search. Serialized by checkpointMtx — completed searches land
+    // concurrently from the pool.
     std::mutex checkpointMtx;
     const auto writeNetCheckpoint = [&] {
         if (sc.checkpointPath().empty())
             return;
         SearchCheckpoint ck;
-        ck.search = "net-fused";
+        ck.search = label;
         ck.workloadFingerprint = netFp;
         ck.seed = sc.seed();
         std::string payload = "{\"done\": [";
-        bool first = true;
+        const char *sep = "";
         for (const Unique &u : uniques) {
             if (!u.restored)
                 continue;
-            DoneSearch d;
-            d.found = u.search.found;
-            d.mapping = u.search.mapping;
-            d.seconds = u.search.seconds;
-            d.examined = u.search.candidatesExamined;
-            d.stopReason = u.search.stopReason;
-            if (!first)
-                payload += ", ";
-            first = false;
-            payload += doneToJson(u.fingerprint, d);
+            payload += sep + doneToJson(u.fingerprint, u.search);
+            sep = ", ";
             ck.evaluated += u.search.candidatesExamined;
         }
         for (const FusedUnit &fu : fusedUnits) {
             if (!fu.restored)
                 continue;
-            if (!first)
-                payload += ", ";
-            first = false;
+            payload += sep;
+            sep = ", ";
             payload += "{\"fp\": " + jsonHexU64(fu.fingerprint) +
                        ", \"fused\": [";
             for (std::size_t i = 0; i < fu.members.size(); ++i) {
                 const FusedMember &fm = fu.members[i];
-                DoneSearch d;
-                d.found = fm.search.found;
-                d.mapping = fm.search.mapping;
-                d.seconds = fm.search.seconds;
-                d.examined = fm.search.candidatesExamined;
-                d.stopReason = fm.search.stopReason;
                 if (i)
                     payload += ", ";
-                payload += doneToJson(fm.fingerprint, d);
+                payload += doneToJson(fm.fingerprint, fm.search);
                 ck.evaluated += fm.search.candidatesExamined;
             }
             payload += "]}";
@@ -849,16 +546,16 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
         else
             obs::flightRecorder().record(
                 "checkpoint.written",
-                "net-fused evals=" + std::to_string(ck.evaluated) +
+                label + " evals=" + std::to_string(ck.evaluated) +
                     " -> " + sc.checkpointPath());
     };
     {
         std::lock_guard<std::mutex> lk(checkpointMtx);
-        writeNetCheckpoint();
+        writeNetCheckpoint(); // records the restored set immediately
     }
 
-    // Coarse phase units: one per unique per-op search, one per fused
-    // chain search.
+    // Coarse phase units for the progress line: one per unique per-op
+    // search, one per fused chain search.
     obs::ProgressBoard &board = obs::progressBoard();
     board.addUnits(
         static_cast<std::int64_t>(uniques.size() + fusedUnits.size()));
@@ -868,90 +565,86 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
     for (const FusedUnit &fu : fusedUnits)
         if (fu.restored)
             board.noteUnitDone();
-
-    const auto makeChild = [&](const std::string &label,
-                               SunstoneOptions &so,
-                               obs::ConvergenceRecorder **conv_out) {
-        so = opts.sunstone;
-        so.engine = &eng;
-        obs::ConvergenceRecorder *conv =
-            sc.convergence() ? sc.convergence() : so.convergence;
-        if (conv)
-            so.searchLabel = label;
-        *conv_out = conv;
-    };
-    const auto fom = [&](const CostResult &c) {
-        return opts.sunstone.optimizeEdp ? c.edp : c.totalEnergyPj;
+    // Marks one unit completed: in every checkpoint from now on.
+    const auto completed = [&](bool &restored) {
+        {
+            std::lock_guard<std::mutex> lk(checkpointMtx);
+            restored = true;
+            writeNetCheckpoint();
+        }
+        board.noteUnitDone();
     };
 
-    // Warm-start store (see the flat-path comment): read-only while
-    // the fan-outs run, recorded back serially after pass 2.
+    // Warm-start store: loaded once before the fan-outs (a missing file
+    // just means an empty store) and only *read* while searches run,
+    // so concurrent queries need no locking and results stay
+    // deterministic. Realized bests are recorded back serially below.
     WarmStartStore wstore;
     const bool useWarmstart = !opts.warmstartStore.empty();
     if (useWarmstart)
         wstore.load(opts.warmstartStore);
 
-    // ---- Pass 1: per-op baseline searches ----------------------------
-    parallelFor(eng.pool(), uniques.size(), [&](std::size_t u) {
-        if (uniques[u].restored)
-            return;
-        SUNSTONE_TRACE_SPAN("net.search:" +
-                            uniques[u].ba->workload().name());
-        SunstoneOptions so;
-        obs::ConvergenceRecorder *conv = nullptr;
-        makeChild("sunstone:" + uniques[u].ba->workload().name(), so,
-                  &conv);
+    // One search under its own child context; the network-wide hard
+    // deadline and cancellation flag are shared through it, the
+    // per-search bounds are copied. `trajectory` labels its convergence
+    // trajectory.
+    const auto search = [&](const BoundArch &ba,
+                            const std::string &trajectory) {
+        SunstoneOptions so = opts.sunstone;
+        so.engine = &eng;
+        obs::ConvergenceRecorder *conv =
+            sc.convergence() ? sc.convergence() : so.convergence;
+        if (conv)
+            so.searchLabel = trajectory;
         SearchContext child(&eng, netPolicy, conv);
-        child.policy().deadlineSeconds = 0;
+        child.policy().deadlineSeconds = 0; // network-wide, see above
         if (sc.hardDeadline())
             child.setHardDeadline(*sc.hardDeadline());
         if (sc.hasSeed())
             child.setSeed(sc.seed());
+        // Fused variants share the per-op structure, so stored per-op
+        // bests seed them too.
         if (useWarmstart)
-            child.setWarmStarts(wstore.query(*uniques[u].ba));
+            child.setWarmStarts(wstore.query(ba));
+        return sunstoneOptimize(child, ba, so);
+    };
+
+    // ---- Pass 1: per-op searches -------------------------------------
+    // One search per unique structure, concurrently on the shared pool.
+    // The search's own parallelFor nests on the same pool through
+    // group-scoped joins, so no thread oversubscription.
+    parallelFor(eng.pool(), uniques.size(), [&](std::size_t u) {
+        Unique &uq = uniques[u];
+        if (uq.restored)
+            return;
+        const std::string &name = uq.ba->workload().name();
+        SUNSTONE_TRACE_SPAN("net.search:" + name);
         Timer t;
-        uniques[u].search = sunstoneOptimize(child, *uniques[u].ba, so);
-        eng.addPhaseSeconds(
-            "layer:" + uniques[u].ba->workload().name(), t.seconds());
-        {
-            std::lock_guard<std::mutex> lk(checkpointMtx);
-            uniques[u].restored = true;
-            writeNetCheckpoint();
-        }
-        board.noteUnitDone();
+        uq.search = search(*uq.ba, "sunstone:" + name);
+        eng.addPhaseSeconds("layer:" + name, t.seconds());
+        completed(uq.restored);
     });
     obs::metrics().counter("net.unique_searches").add(
         static_cast<std::int64_t>(uniques.size()));
 
     // ---- Pass 2: fused-chain searches --------------------------------
-    // Runs after the baselines (a barrier, not a pipeline) because each
-    // fused member search is seeded with the sunken per-op winner, which
-    // both bounds the fused result from below and guarantees a coverage
-    // candidate whenever one is valid.
+    // Runs after the per-op searches (a barrier, not a pipeline) because
+    // each fused member search is seeded with the sunken per-op winner,
+    // which both bounds the fused result from below and guarantees a
+    // coverage candidate whenever one is valid.
+    const auto fom = [&](const CostResult &c) {
+        return opts.sunstone.optimizeEdp ? c.edp : c.totalEnergyPj;
+    };
     parallelFor(eng.pool(), fusedUnits.size(), [&](std::size_t fi) {
         FusedUnit &fu = fusedUnits[fi];
         if (fu.restored)
             return;
-        SUNSTONE_TRACE_SPAN("net.search.fused:" +
-                            fu.members.front().ba->workload().name());
+        const std::string &head = fu.members.front().ba->workload().name();
+        SUNSTONE_TRACE_SPAN("net.search.fused:" + head);
         Timer t;
         for (FusedMember &fm : fu.members) {
-            SunstoneOptions so;
-            obs::ConvergenceRecorder *conv = nullptr;
-            makeChild("sunstone:" + fm.ba->workload().name() + "+fused",
-                      so, &conv);
-            SearchContext child(&eng, netPolicy, conv);
-            child.policy().deadlineSeconds = 0;
-            if (sc.hardDeadline())
-                child.setHardDeadline(*sc.hardDeadline());
-            if (sc.hasSeed())
-                child.setSeed(sc.seed());
-            // Fused variants share the per-op structure, so stored
-            // per-op bests still seed them; fused results are not
-            // recorded back (their costs assume ephemeral residency).
-            if (useWarmstart)
-                child.setWarmStarts(wstore.query(*fm.ba));
-            fm.search = sunstoneOptimize(child, *fm.ba, so);
+            fm.search = search(
+                *fm.ba, "sunstone:" + fm.ba->workload().name() + "+fused");
             const Unique &base = uniques[nodeToUnique[fm.node]];
             if (base.search.found) {
                 Mapping seeded =
@@ -967,18 +660,12 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
                 }
             }
         }
-        eng.addPhaseSeconds(
-            "fused:" + fu.members.front().ba->workload().name(),
-            t.seconds());
-        {
-            std::lock_guard<std::mutex> lk(checkpointMtx);
-            fu.restored = true;
-            writeNetCheckpoint();
-        }
-        board.noteUnitDone();
+        eng.addPhaseSeconds("fused:" + head, t.seconds());
+        completed(fu.restored);
     });
-    obs::metrics().counter("net.fusion.unit_searches").add(
-        static_cast<std::int64_t>(fusedUnits.size()));
+    if (fuse)
+        obs::metrics().counter("net.fusion.unit_searches").add(
+            static_cast<std::int64_t>(fusedUnits.size()));
 
     if (useWarmstart) {
         // Serial, in unique order: deterministic store contents. Only
@@ -996,7 +683,8 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
             .set(static_cast<double>(wstore.size()));
     }
 
-    // ---- Decide per group --------------------------------------------
+    // The first interrupting reason wins over "exhausted"; cancellation
+    // outranks the deadline.
     result.stopReason = "exhausted";
     const auto foldStop = [&](const std::string &s) {
         if (s == "deadline" && result.stopReason == "exhausted")
@@ -1010,6 +698,7 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
         for (const FusedMember &fm : fu.members)
             foldStop(fm.search.stopReason);
 
+    // ---- Decide per group --------------------------------------------
     std::vector<bool> accepted(groupNodes.size(), false);
     result.groups.resize(groupNodes.size());
     for (std::size_t gi = 0; gi < groupNodes.size(); ++gi) {
@@ -1072,9 +761,12 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
             obs::flightRecorder().record(
                 "chain.rejected", detail + " reason=" + gr.rejectReason);
     }
-    obs::metrics().counter("net.fusion.groups_fused").add(
-        result.groupsFused);
-    obs::metrics().counter("net.fusion.ops_fused").add(result.opsFused);
+    if (fuse) {
+        obs::metrics().counter("net.fusion.groups_fused").add(
+            result.groupsFused);
+        obs::metrics().counter("net.fusion.ops_fused").add(
+            result.opsFused);
+    }
 
     // ---- Assemble per-node results (node order) ----------------------
     result.allFound = true;
@@ -1086,48 +778,46 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
         ls.name = g.node(n).workload.name();
         ls.count = g.node(n).count;
         ls.group = gi;
-        if (accepted[gi]) {
+        // The node's result comes from its accepted fused chain or else
+        // from its per-op search; the first node to use a search reports
+        // it, the rest are dedup broadcasts.
+        const SunstoneResult *src;
+        const BoundArch *ba;
+        bool first;
+        if (gi >= 0 && accepted[gi]) {
             const FusedUnit &fu = fusedUnits[groupUnit[gi]];
             std::size_t pos = 0;
             while (groupNodes[gi][pos] != n)
                 ++pos;
-            const FusedMember &fm = fu.members[pos];
-            ls.found = true;
+            src = &fu.members[pos].search;
+            ba = fu.members[pos].ba.get();
+            first = unitOwner[groupUnit[gi]] == gi;
             ls.fused = true;
-            ls.mapping = fm.search.mapping;
-            if (unitOwner[groupUnit[gi]] == gi) {
-                ls.cost = fm.search.cost;
-                ls.seconds = fm.search.seconds;
-                ls.candidatesExamined = fm.search.candidatesExamined;
-                ls.stopReason = fm.search.stopReason;
-            } else {
-                // A structurally identical chain already searched this
-                // subgraph; broadcast with a guaranteed cache hit.
-                ls.deduplicated = true;
-                ls.stopReason = "dedup";
-                ls.cost = eng.evaluate(eng.context(*fm.ba), ls.mapping);
-                obs::metrics().counter("net.dedup_broadcasts").add(1);
-            }
         } else {
             const std::size_t u = nodeToUnique[n];
-            const Unique &uq = uniques[u];
-            ls.found = uq.search.found;
-            ls.mapping = uq.search.mapping;
-            if (seen[u]) {
-                ls.deduplicated = true;
-                ls.stopReason = "dedup";
-                obs::metrics().counter("net.dedup_broadcasts").add(1);
-                if (ls.found) {
-                    SUNSTONE_TRACE_SPAN("net.broadcast");
-                    ls.cost =
-                        eng.evaluate(eng.context(*uq.ba), ls.mapping);
-                }
-            } else {
-                seen[u] = true;
-                ls.cost = uq.search.cost;
-                ls.seconds = uq.search.seconds;
-                ls.candidatesExamined = uq.search.candidatesExamined;
-                ls.stopReason = uq.search.stopReason;
+            src = &uniques[u].search;
+            ba = uniques[u].ba.get();
+            first = !seen[u];
+            seen[u] = true;
+        }
+        ls.found = src->found;
+        ls.mapping = src->mapping;
+        if (first) {
+            ls.cost = src->cost;
+            ls.seconds = src->seconds;
+            ls.candidatesExamined = src->candidatesExamined;
+            ls.stopReason = src->stopReason;
+        } else {
+            // Re-validate the chosen mapping under this node's own
+            // context. Identical structure means an identical cache key,
+            // so this is a guaranteed hit — the dedup shows up in the
+            // telemetry instead of as a repeated search.
+            ls.deduplicated = true;
+            ls.stopReason = "dedup";
+            obs::metrics().counter("net.dedup_broadcasts").add(1);
+            if (ls.found) {
+                SUNSTONE_TRACE_SPAN("net.broadcast");
+                ls.cost = eng.evaluate(eng.context(*ba), ls.mapping);
             }
         }
         if (ls.found) {
@@ -1143,12 +833,30 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
     result.layersUnique = static_cast<int>(uniques.size());
     result.totalEdp = result.totalEnergyPj * result.totalDelaySeconds;
     result.seconds = baseSeconds + timer.seconds();
-    eng.addPhaseSeconds("net.schedule.fused", timer.seconds());
+    eng.addPhaseSeconds(phase, timer.seconds());
     result.stats = eng.stats();
     return result;
 }
 
 } // anonymous namespace
+
+NetScheduleResult
+scheduleNet(SearchContext &sc, const ArchSpec &arch,
+            const std::vector<Layer> &layers,
+            const NetSchedulerOptions &opts)
+{
+    // A layer list has no edges: always the flat (fuse-off) schedule.
+    return scheduleGraph(sc, arch, NetGraph::fromLayers(layers),
+                         FusionMode::Off, opts);
+}
+
+NetScheduleResult
+scheduleNet(const ArchSpec &arch, const std::vector<Layer> &layers,
+            const NetSchedulerOptions &opts)
+{
+    SearchContext sc;
+    return scheduleNet(sc, arch, layers, opts);
+}
 
 NetScheduleResult
 scheduleNet(SearchContext &sc, const ArchSpec &arch, const NetGraph &graph,
@@ -1157,12 +865,7 @@ scheduleNet(SearchContext &sc, const ArchSpec &arch, const NetGraph &graph,
     std::string err;
     if (!graph.validate(&err))
         SUNSTONE_FATAL("invalid network graph: ", err);
-    // FusionMode::Off takes the exact per-layer code path over the
-    // graph's node list, so its results are bit-identical to the flat
-    // scheduler's.
-    if (opts.fusion == FusionMode::Off)
-        return scheduleNet(sc, arch, graph.toLayers(), opts);
-    return scheduleNetGreedy(sc, arch, graph, opts);
+    return scheduleGraph(sc, arch, graph, opts.fusion, opts);
 }
 
 NetScheduleResult

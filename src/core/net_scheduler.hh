@@ -27,7 +27,7 @@
  * mappings dominate the per-op ones (no worse energy and delay, strictly
  * better EDP) with every ephemeral tensor fully resident — otherwise the
  * group falls back to its per-op results, so fused totals never regress.
- * FusionMode::Off runs the per-layer path unchanged.
+ * FusionMode::Off is the same scheduler with no chains planned.
  */
 
 #ifndef SUNSTONE_CORE_NET_SCHEDULER_HH

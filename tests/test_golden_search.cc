@@ -23,6 +23,7 @@
 #include "core/sunstone.hh"
 #include "mapping/serialize.hh"
 #include "model/eval_engine.hh"
+#include "workload/net_graph.hh"
 #include "workload/nets.hh"
 #include "workload/zoo.hh"
 
@@ -93,6 +94,57 @@ renderSearch(const std::string &name, const BoundArch &ba,
     if (max_evals > 0)
         out += "stop " + r.stopReason + "\n";
     return out;
+}
+
+/**
+ * Renders a greedy-fusion schedule of `g`: every node's mapping and
+ * costs with its group, fused and dedup flags, then every group's
+ * decision. Wall-clock fields are left out; everything else is exact.
+ */
+std::string
+renderFusedNet(const ArchSpec &arch, const NetGraph &g, unsigned threads)
+{
+    EvalEngineOptions eo;
+    eo.threads = threads;
+    EvalEngine eng(eo);
+    NetSchedulerOptions o;
+    o.engine = &eng;
+    o.threads = threads;
+    o.sunstone.threads = threads;
+    o.fusion = FusionMode::Greedy;
+    SearchContext sc;
+    sc.policy().maxEvals = 150;
+    sc.setSeed(11);
+    const NetScheduleResult res = scheduleNet(sc, arch, g, o);
+    std::ostringstream os;
+    for (std::size_t i = 0; i < res.layers.size(); ++i) {
+        const LayerSchedule &ls = res.layers[i];
+        const BoundArch ba(arch, g.node(static_cast<int>(i)).workload);
+        os << "group " << ls.group << " fused " << ls.fused
+           << " deduplicated " << ls.deduplicated << " stop "
+           << ls.stopReason << "\n"
+           << renderOne(ls.name, ba, ls.found, ls.mapping, ls.cost,
+                        ls.candidatesExamined);
+    }
+    for (const GroupSchedule &gr : res.groups) {
+        os << "== group";
+        for (const std::string &m : gr.members)
+            os << " " << m;
+        os << "\ncount " << gr.count << " fused " << gr.fused
+           << " reject " << gr.rejectReason << "\n"
+           << "fused_energy_pj " << hexDouble(gr.fusedEnergyPj) << "\n"
+           << "fused_delay_s " << hexDouble(gr.fusedDelaySeconds) << "\n"
+           << "unfused_energy_pj " << hexDouble(gr.unfusedEnergyPj) << "\n"
+           << "unfused_delay_s " << hexDouble(gr.unfusedDelaySeconds)
+           << "\n"
+           << "candidates " << gr.candidatesExamined << "\n";
+    }
+    os << "groups_fusable " << res.groupsFusable << " groups_fused "
+       << res.groupsFused << " ops_fused " << res.opsFused << "\n"
+       << "layers_unique " << res.layersUnique << " stop "
+       << res.stopReason << "\n"
+       << "total_edp " << hexDouble(res.totalEdp) << "\n";
+    return os.str();
 }
 
 /** Compares `text` with the golden file, or rewrites the file when
@@ -256,6 +308,32 @@ TEST(GoldenSearch, StoppedMidStep)
     expectGolden("search_stopped.txt",
                  renderSearch("bottom_up_max_evals", ba, {}, 1, 2400) +
                      renderSearch("top_down_max_evals", ba, td, 1, 10000));
+}
+
+/**
+ * Greedy fusion end to end: two structurally identical attention heads
+ * (each a Q·Kᵀ → softmax → ·V chain of multiplicity 2) on the
+ * conventional architecture. The first head's chain is searched and
+ * fused; the second head's chain is a "dedup" broadcast of that fused
+ * unit.
+ */
+TEST(GoldenSearch, GreedyFusionAttention)
+{
+    const NetGraph head = attentionGraph(64, 2);
+    NetGraph g;
+    for (int h = 0; h < 2; ++h) {
+        const int base = g.numNodes();
+        for (const NetNode &n : head.nodes())
+            g.addNode(n.workload, n.count);
+        for (const NetEdge &e : head.edges())
+            g.addEdge(base + e.producer, e.producerTensor,
+                      base + e.consumer, e.consumerTensor);
+    }
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        expectGolden("search_fused_attention.txt",
+                     renderFusedNet(makeConventional(), g, threads));
+    }
 }
 
 } // namespace

@@ -15,9 +15,11 @@
 
 #include <cstdio>
 #include <functional>
+#include <optional>
 
 #include "arch/presets.hh"
 #include "common/json.hh"
+#include "common/logging.hh"
 #include "core/net_scheduler.hh"
 #include "core/refine.hh"
 #include "core/sunstone.hh"
@@ -190,6 +192,80 @@ TEST_F(ResumeFixture, SunstoneResumesBitIdentically)
         /*interrupt_at=*/3000, /*budget=*/6000);
 }
 
+/** A seeded, eval-bounded schedule of `g` on the conventional
+ *  architecture, optionally checkpointing and resuming. */
+NetScheduleResult
+runNet(const NetGraph &g, FusionMode mode, const std::string &ck_path = {},
+       std::optional<SearchCheckpoint> resume = {})
+{
+    NetSchedulerOptions opts;
+    opts.sunstone.threads = 2;
+    opts.fusion = mode;
+    StopPolicy pol;
+    pol.maxEvals = 300;
+    pol.plateau = 1'000'000'000;
+    SearchContext sc;
+    sc.setPolicy(pol);
+    sc.setSeed(7);
+    if (!ck_path.empty())
+        sc.setCheckpointPath(ck_path);
+    if (resume)
+        sc.setResume(std::move(*resume));
+    return scheduleNet(sc, makeConventional(), g, opts);
+}
+
+/** Runs `g` to completion with a checkpoint at `path`; @return it. */
+SearchCheckpoint
+completeCheckpoint(const NetGraph &g, FusionMode mode,
+                   const std::string &path)
+{
+    std::remove(path.c_str());
+    runNet(g, mode, path);
+    SearchCheckpoint ck;
+    std::string err;
+    EXPECT_TRUE(SearchCheckpoint::load(path, ck, &err)) << err;
+    return ck;
+}
+
+/** The entries of a net checkpoint's "done" list. */
+std::vector<JsonValue>
+doneEntries(const SearchCheckpoint &ck)
+{
+    JsonValue state;
+    EXPECT_TRUE(parseJson(ck.streamState, state));
+    const JsonValue *done = state.find("done");
+    EXPECT_NE(done, nullptr);
+    return done ? done->items : std::vector<JsonValue>{};
+}
+
+/** Bit equality of two schedules, per layer and in total. */
+void
+expectSameSchedule(const NetScheduleResult &ra, const NetScheduleResult &rc)
+{
+    EXPECT_EQ(ra.allFound, rc.allFound);
+    EXPECT_EQ(ra.totalEnergyPj, rc.totalEnergyPj);
+    EXPECT_EQ(ra.totalDelaySeconds, rc.totalDelaySeconds);
+    EXPECT_EQ(ra.totalEdp, rc.totalEdp);
+    EXPECT_EQ(ra.stopReason, rc.stopReason);
+    EXPECT_EQ(ra.fusionMode, rc.fusionMode);
+    EXPECT_EQ(ra.groupsFused, rc.groupsFused);
+    EXPECT_EQ(ra.opsFused, rc.opsFused);
+    ASSERT_EQ(ra.layers.size(), rc.layers.size());
+    for (std::size_t i = 0; i < ra.layers.size(); ++i) {
+        SCOPED_TRACE("layer " + std::to_string(i));
+        EXPECT_EQ(mappingToJson(ra.layers[i].mapping),
+                  mappingToJson(rc.layers[i].mapping));
+        EXPECT_EQ(ra.layers[i].cost.edp, rc.layers[i].cost.edp);
+        EXPECT_EQ(ra.layers[i].cost.totalEnergyPj,
+                  rc.layers[i].cost.totalEnergyPj);
+        EXPECT_EQ(ra.layers[i].candidatesExamined,
+                  rc.layers[i].candidatesExamined);
+        EXPECT_EQ(ra.layers[i].stopReason, rc.layers[i].stopReason);
+        EXPECT_EQ(ra.layers[i].fused, rc.layers[i].fused);
+        EXPECT_EQ(ra.layers[i].group, rc.layers[i].group);
+    }
+}
+
 TEST(NetResume, FusedNetResumesBitIdenticallyAcrossSubgraphBoundary)
 {
     // Interrupt/resume for the fusion-aware network scheduler: the
@@ -200,44 +276,20 @@ TEST(NetResume, FusedNetResumesBitIdenticallyAcrossSubgraphBoundary)
     // that landed between subgraph searches, crossing the
     // fused-subgraph boundary — then resume and demand bit-equality
     // with the uninterrupted run.
-    const ArchSpec arch = makeConventional();
     const NetGraph g = attentionGraph(64, 1);
-    NetSchedulerOptions opts;
-    opts.sunstone.threads = 2;
-    opts.fusion = FusionMode::Greedy;
-
-    StopPolicy pol;
-    pol.maxEvals = 300;
-    pol.plateau = 1'000'000'000;
-
-    SearchContext full;
-    full.setPolicy(pol);
-    full.setSeed(7);
-    const NetScheduleResult ra = scheduleNet(full, arch, g, opts);
+    const NetScheduleResult ra = runNet(g, FusionMode::Greedy);
     ASSERT_TRUE(ra.allFound);
     ASSERT_EQ(ra.groupsFused, 1);
 
     const std::string path =
         ::testing::TempDir() + "/resume_net_fused.json";
-    std::remove(path.c_str());
-    SearchContext writer;
-    writer.setPolicy(pol);
-    writer.setSeed(7);
-    writer.setCheckpointPath(path);
-    scheduleNet(writer, arch, g, opts);
-
-    SearchCheckpoint ck;
-    std::string err;
-    ASSERT_TRUE(SearchCheckpoint::load(path, ck, &err)) << err;
+    SearchCheckpoint ck = completeCheckpoint(g, FusionMode::Greedy, path);
     EXPECT_EQ(ck.search, "net-fused");
 
-    JsonValue state;
-    ASSERT_TRUE(parseJson(ck.streamState, state));
-    const JsonValue *done = state.find("done");
-    ASSERT_NE(done, nullptr);
     std::vector<const JsonValue *> singles;
     int fusedEntries = 0;
-    for (const JsonValue &e : done->items) {
+    const std::vector<JsonValue> done = doneEntries(ck);
+    for (const JsonValue &e : done) {
         if (e.find("fused"))
             ++fusedEntries;
         else
@@ -248,37 +300,88 @@ TEST(NetResume, FusedNetResumesBitIdenticallyAcrossSubgraphBoundary)
 
     ck.streamState = "{\"done\": [" + singles[0]->dump() + ", " +
                      singles[1]->dump() + "]}";
-    ASSERT_TRUE(ck.save(path));
+    const NetScheduleResult rc =
+        runNet(g, FusionMode::Greedy, path, std::move(ck));
+    expectSameSchedule(ra, rc);
+    std::remove(path.c_str());
+}
 
-    SearchCheckpoint truncated;
-    ASSERT_TRUE(SearchCheckpoint::load(path, truncated, &err)) << err;
-    SearchContext resumed;
-    resumed.setPolicy(pol);
-    resumed.setSeed(7);
-    resumed.setCheckpointPath(path);
-    resumed.setResume(std::move(truncated));
-    const NetScheduleResult rc = scheduleNet(resumed, arch, g, opts);
+TEST(NetResume, FlatNetResumesBitIdentically)
+{
+    // The fuse-off scheduler writes a "net" checkpoint with one entry
+    // per unique per-op search. Keep only the first, resume, and the
+    // schedule must match the uninterrupted one bit for bit — the
+    // restored search included.
+    const NetGraph g = attentionGraph(64, 1);
+    const NetScheduleResult ra = runNet(g, FusionMode::Off);
+    ASSERT_TRUE(ra.allFound);
+    EXPECT_TRUE(ra.fusionMode.empty());
+    for (const LayerSchedule &l : ra.layers)
+        EXPECT_EQ(l.group, -1);
 
-    EXPECT_EQ(ra.allFound, rc.allFound);
-    EXPECT_EQ(ra.totalEnergyPj, rc.totalEnergyPj);
-    EXPECT_EQ(ra.totalDelaySeconds, rc.totalDelaySeconds);
-    EXPECT_EQ(ra.totalEdp, rc.totalEdp);
-    EXPECT_EQ(ra.stopReason, rc.stopReason);
-    EXPECT_EQ(ra.groupsFused, rc.groupsFused);
-    EXPECT_EQ(ra.opsFused, rc.opsFused);
-    ASSERT_EQ(ra.layers.size(), rc.layers.size());
-    for (std::size_t i = 0; i < ra.layers.size(); ++i) {
-        EXPECT_EQ(mappingToJson(ra.layers[i].mapping),
-                  mappingToJson(rc.layers[i].mapping))
-            << "layer " << i;
-        EXPECT_EQ(ra.layers[i].cost.edp, rc.layers[i].cost.edp);
-        EXPECT_EQ(ra.layers[i].cost.totalEnergyPj,
-                  rc.layers[i].cost.totalEnergyPj);
-        EXPECT_EQ(ra.layers[i].candidatesExamined,
-                  rc.layers[i].candidatesExamined);
-        EXPECT_EQ(ra.layers[i].stopReason, rc.layers[i].stopReason);
-        EXPECT_EQ(ra.layers[i].fused, rc.layers[i].fused);
-        EXPECT_EQ(ra.layers[i].group, rc.layers[i].group);
+    const std::string path = ::testing::TempDir() + "/resume_net_flat.json";
+    SearchCheckpoint ck = completeCheckpoint(g, FusionMode::Off, path);
+    EXPECT_EQ(ck.search, "net");
+    const std::vector<JsonValue> done = doneEntries(ck);
+    ASSERT_EQ(done.size(), 3u);
+    for (const JsonValue &e : done)
+        EXPECT_EQ(e.find("fused"), nullptr);
+
+    ck.streamState = "{\"done\": [" + done[0].dump() + "]}";
+    const NetScheduleResult rc =
+        runNet(g, FusionMode::Off, path, std::move(ck));
+    expectSameSchedule(ra, rc);
+    std::remove(path.c_str());
+}
+
+TEST(NetResume, CheckpointLabelMustMatchTheFusionMode)
+{
+    // A fused plan and a flat one are different problems: neither mode
+    // adopts the other's checkpoint.
+    const NetGraph g = attentionGraph(64, 1);
+    const std::string path = ::testing::TempDir() + "/resume_net_label.json";
+    SearchCheckpoint flat = completeCheckpoint(g, FusionMode::Off, path);
+    SearchCheckpoint fused = completeCheckpoint(g, FusionMode::Greedy, path);
+    ASSERT_EQ(flat.search, "net");
+    ASSERT_EQ(fused.search, "net-fused");
+    ScopedFatalCapture capture;
+    EXPECT_THROW(runNet(g, FusionMode::Greedy, {}, std::move(flat)),
+                 FatalError);
+    EXPECT_THROW(runNet(g, FusionMode::Off, {}, std::move(fused)),
+                 FatalError);
+    std::remove(path.c_str());
+}
+
+TEST(NetResume, InvalidFoundMappingIsAMalformedCheckpoint)
+{
+    // A "found" entry whose mapping no longer re-scores as valid (here:
+    // every factor edited to 1, which the fingerprint check cannot see)
+    // must not be reported as found with an infinite cost.
+    const NetGraph g = attentionGraph(64, 1);
+    const std::string path = ::testing::TempDir() + "/resume_net_bad.json";
+    SearchCheckpoint ck = completeCheckpoint(g, FusionMode::Off, path);
+    const std::vector<JsonValue> done = doneEntries(ck);
+    ASSERT_FALSE(done.empty());
+    const JsonValue *m = done[0].find("mapping");
+    ASSERT_NE(m, nullptr);
+    Mapping ones;
+    ASSERT_TRUE(mappingFromJson(*m, ones));
+    const std::string recorded = mappingToJson(ones);
+    for (int l = 0; l < ones.numLevels(); ++l)
+        for (int d = 0; d < ones.numDims(); ++d)
+            ones.level(l).temporal[d] = ones.level(l).spatial[d] = 1;
+    const std::size_t at = ck.streamState.find(recorded);
+    ASSERT_NE(at, std::string::npos);
+    ck.streamState.replace(at, recorded.size(), mappingToJson(ones));
+
+    ScopedFatalCapture capture;
+    try {
+        runNet(g, FusionMode::Off, {}, std::move(ck));
+        ADD_FAILURE() << "an invalid found mapping was resumed";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("malformed 'net' checkpoint"),
+                  std::string::npos)
+            << e.what();
     }
     std::remove(path.c_str());
 }
